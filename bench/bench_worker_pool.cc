@@ -3,13 +3,14 @@
  * Measurement: worker-pool spawn amortization and work stealing
  * (DESIGN.md §15).
  *
- * Part 1 — spawn amortization. For each benchmark, runs the same
- * combinational (CB) campaign under --isolation=fork (one fork+reap
- * per evaluation) and --isolation=pool (persistent pre-forked workers
- * fed over shared-memory rings), and compares the per-evaluation
- * sandbox overhead: fork's spawn cost against pool's dispatch cost.
- * The headline check: pool dispatch stays at or under half the fork
- * spawn cost per evaluation.
+ * Part 1 — sandbox cost. For each benchmark, runs the same
+ * combinational (CB) campaign in-process (--isolation=none) and on
+ * persistent pre-forked workers fed over shared-memory rings
+ * (--isolation=pool), and reports whether both executed the same EV,
+ * the pool's wall-clock overhead on the search, and its mean
+ * per-evaluation dispatch overhead. Both runs are fault-free, so they
+ * execute the same configuration set (CB's exploration order is
+ * fixed) and the wall difference is the sandbox machinery.
  *
  * Part 2 — work stealing. Pushes a deliberately uneven-latency
  * synthetic batch through SearchContext::evaluateBatch under the
@@ -50,11 +51,12 @@ using namespace hpcmixp;
 struct PoolRun {
     std::string benchmark;
     std::size_t evaluated = 0;
-    double forkSpawnMs = 0.0;  ///< mean fork+reap overhead per eval
-    double poolSpawnMs = 0.0;  ///< mean ring-dispatch overhead per eval
-    double ratio = 0.0;        ///< pool / fork (lower is better)
-    std::size_t poolForks = 0; ///< actual fork() calls under the pool
-    bool evMatch = false;
+    double noneSeconds = 0.0;   ///< in-process search wall clock
+    double poolSeconds = 0.0;   ///< pool search wall clock
+    double overheadPct = 0.0;   ///< pool over in-process, percent
+    double dispatchMs = 0.0;    ///< mean ring-dispatch overhead per eval
+    std::size_t poolForks = 0;  ///< actual fork() calls under the pool
+    bool evMatch = false;       ///< both modes executed the same EV
 };
 
 /**
@@ -139,15 +141,17 @@ main(int argc, char** argv)
     std::string jsonPath =
         cl.getString("json", "BENCH_worker_pool.json");
 
-    // ---- Part 1: spawn amortization, fork vs pool -------------------
+    // ---- Part 1: sandbox cost, pool vs in-process -------------------
 
+    // Application benchmarks, not microkernels: per-evaluation runtime
+    // must dwarf the dispatch cost for the overhead figure to mean
+    // anything.
     std::vector<std::string> names{"kmeans", "hotspot", "lavamd"};
     if (support::quickMode())
         names = {"kmeans"};
 
-    support::Table table({"benchmark", "EV", "fork spawn ms",
-                          "pool dispatch ms", "pool/fork", "pool forks",
-                          "EV match"});
+    support::Table table({"benchmark", "EV", "overhead %",
+                          "dispatch ms", "pool forks", "EV match"});
     std::vector<PoolRun> runs;
 
     for (const std::string& name : names) {
@@ -157,40 +161,40 @@ main(int argc, char** argv)
         PoolRun run;
         run.benchmark = name;
 
-        core::TunerOptions forkOptions = options.tuner;
-        forkOptions.isolation = support::IsolationMode::Fork;
-        core::BenchmarkTuner forkTuner(*benchmark, forkOptions);
-        core::TuneOutcome forked = forkTuner.tune("CB");
+        // One tuner per mode: isolation is fixed at construction.
+        core::TunerOptions noneOptions = options.tuner;
+        noneOptions.isolation = support::IsolationMode::None;
+        core::BenchmarkTuner noneTuner(*benchmark, noneOptions);
+        core::TuneOutcome none = noneTuner.tune("CB");
 
         core::TunerOptions poolOptions = options.tuner;
         poolOptions.isolation = support::IsolationMode::Pool;
         core::BenchmarkTuner poolTuner(*benchmark, poolOptions);
         core::TuneOutcome pooled = poolTuner.tune("CB");
 
-        run.evaluated = forked.search.evaluated;
-        run.forkSpawnMs =
-            forkTuner.sandboxStats().spawnOverheadMeanSeconds * 1e3;
-        run.poolSpawnMs =
+        run.evaluated = none.search.evaluated;
+        run.noneSeconds = none.search.searchSeconds;
+        run.poolSeconds = pooled.search.searchSeconds;
+        run.overheadPct =
+            run.noneSeconds > 0.0
+                ? (run.poolSeconds / run.noneSeconds - 1.0) * 100.0
+                : 0.0;
+        run.dispatchMs =
             poolTuner.sandboxStats().spawnOverheadMeanSeconds * 1e3;
-        run.ratio = run.forkSpawnMs > 0.0
-                        ? run.poolSpawnMs / run.forkSpawnMs
-                        : 0.0;
         run.poolForks = poolTuner.sandboxStats().forks;
-        run.evMatch =
-            pooled.search.evaluated == forked.search.evaluated;
+        run.evMatch = pooled.search.evaluated == none.search.evaluated;
         runs.push_back(run);
 
         table.addRow(
             {name,
              support::Table::cell(static_cast<long>(run.evaluated)),
-             support::Table::cell(run.forkSpawnMs, 3),
-             support::Table::cell(run.poolSpawnMs, 3),
-             support::Table::cell(run.ratio, 3),
+             support::Table::cell(run.overheadPct, 1),
+             support::Table::cell(run.dispatchMs, 3),
              support::Table::cell(static_cast<long>(run.poolForks)),
              run.evMatch ? "yes" : "NO"});
     }
 
-    std::cout << "Worker-pool spawn amortization, CB campaigns (budget "
+    std::cout << "Worker-pool cost against in-process, CB campaigns (budget "
               << options.tuner.budget.maxEvaluations << ", reps "
               << options.tuner.searchReps << ")\n";
     benchutil::emit(table, options);
@@ -241,9 +245,10 @@ main(int argc, char** argv)
         row.set("benchmark", Value::string(run.benchmark));
         row.set("evaluated",
                 Value::number(static_cast<double>(run.evaluated)));
-        row.set("fork_spawn_ms", Value::number(run.forkSpawnMs));
-        row.set("pool_dispatch_ms", Value::number(run.poolSpawnMs));
-        row.set("pool_over_fork", Value::number(run.ratio));
+        row.set("none_seconds", Value::number(run.noneSeconds));
+        row.set("pool_seconds", Value::number(run.poolSeconds));
+        row.set("overhead_pct", Value::number(run.overheadPct));
+        row.set("pool_dispatch_ms", Value::number(run.dispatchMs));
         row.set("pool_forks",
                 Value::number(static_cast<double>(run.poolForks)));
         row.set("ev_match", Value::boolean(run.evMatch));

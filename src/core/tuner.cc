@@ -3,18 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "runtime/workspace.h"
 #include "search/genetic.h"
 #include "support/logging.h"
 #include "support/memo_log.h"
-#include "support/shm_arena.h"
 #include "support/timer.h"
 #include "support/worker_pool.h"
 #include "typeforge/lint.h"
-#include "verify/metrics.h"
 
 namespace hpcmixp::core {
 
@@ -127,23 +127,6 @@ evalWorkspace()
 }
 
 /**
- * Fixed-size result record a sandboxed child commits to the arena.
- * POD only: it crosses the process boundary as raw bytes. The child
- * ships the fused ErrorStats so the parent can re-derive the verdict
- * without the output vector; for custom (non-fusible) metrics the
- * child's own verdict fields are authoritative.
- */
-struct SandboxPayload {
-    double runtimeSeconds = 0.0;   ///< trimmed mean over timed reps
-    double childWallSeconds = 0.0; ///< child-side wall clock
-    std::uint32_t passed = 0;
-    std::uint32_t pad = 0;
-    double loss = 0.0;
-    double rawValue = 0.0;
-    verify::ErrorStats stats;
-};
-
-/**
  * Fixed header of a pool job record: [PoolJobHeader][config chars].
  * The configuration crosses as its digit-per-site toString() image —
  * the same canonical key the memo layer uses — so the wire format is
@@ -153,16 +136,22 @@ struct PoolJobHeader {
     std::uint32_t reps = 0;
     std::uint32_t rawFault = 0;  ///< search::RawFault drawn in the parent
     std::uint32_t keyLength = 0; ///< config chars following the header
-    std::uint32_t pad = 0;
 };
 
 } // namespace
 
-bool
-BenchmarkTuner::isVarLowered(const Config& varCfg, model::VarId var) const
-{
-    return varCfg.test(siteIndexOf(variables_, var));
-}
+/**
+ * Fixed-size result record of one measured configuration. POD only:
+ * a pool worker commits it to its result ring as raw bytes, and the
+ * in-process path reads it directly.
+ */
+struct BenchmarkTuner::SandboxPayload {
+    double runtimeSeconds = 0.0;   ///< trimmed mean over timed reps
+    double childWallSeconds = 0.0; ///< worker-side wall clock
+    double loss = 0.0;
+    std::uint32_t passed = 0;
+    std::uint32_t pad = 0;
+};
 
 std::uint8_t
 BenchmarkTuner::varLevel(const Config& varCfg, model::VarId var) const
@@ -209,11 +198,10 @@ BenchmarkTuner::BenchmarkTuner(const benchmarks::Benchmark& benchmark,
                   options_.threshold)
 {
     // Sandbox configuration sanity, checked before any evaluation
-    // runs: raw fault injection is only survivable in forked children
+    // runs: raw fault injection is only survivable in pool workers
     // (FaultyProblem re-checks via the sandboxed flag), and a raw hang
     // spins forever unless a deadline arms the parent's SIGKILL.
     options_.faultPlan.sandboxed =
-        options_.isolation == support::IsolationMode::Fork ||
         options_.isolation == support::IsolationMode::Pool;
     if (options_.faultPlan.rawHangRate > 0.0 &&
         options_.resilience.deadlineSeconds <= 0.0)
@@ -261,11 +249,7 @@ BenchmarkTuner::BenchmarkTuner(const benchmarks::Benchmark& benchmark,
         workerPool_ = std::make_unique<support::WorkerPool>(
             workers, sizeof(PoolJobHeader) + clusterCount(),
             sizeof(SandboxPayload),
-            [this](const void* job, std::size_t jobSize, void* result,
-                   std::size_t resultCapacity) {
-                return poolChildRun(job, jobSize, result,
-                                    resultCapacity);
-            });
+            std::bind_front(&BenchmarkTuner::poolChildRun, this));
     }
 }
 
@@ -324,25 +308,17 @@ BenchmarkTuner::buildStructure()
 void
 BenchmarkTuner::runBaseline()
 {
-    PrecisionMap allDouble;
-    allDouble.setOwner(benchmark_.name());
-    benchmarks::RunPlan plan = benchmark_.prepare(allDouble);
-    runtime::RunWorkspace& ws = evalWorkspace();
+    benchmarks::RunPlan plan =
+        benchmark_.prepare(precisionMapFor(Config(clusterCount())));
     // The baseline anchors every speedup ratio, so it is always
     // measured with the full final-measurement protocol. The reference
     // output comes from the first timed rep: every rep produces the
     // same values, so no extra untimed run is needed.
-    std::size_t reps = std::max<std::size_t>(
-        std::max(options_.searchReps, options_.finalReps), 1);
     std::vector<double> samples;
-    samples.reserve(reps);
-    for (std::size_t i = 0; i < reps; ++i) {
-        support::WallTimer timer;
-        benchmarks::RunOutput output = benchmark_.execute(plan, ws);
-        samples.push_back(timer.seconds());
-        if (i == 0)
-            reference_ = std::move(output.values);
-    }
+    reference_ = timeReps(plan, false,
+                          std::max(options_.searchReps, options_.finalReps),
+                          samples)
+                     .values;
     if (reference_.empty())
         support::fatal(support::strCat("benchmark ", benchmark_.name(),
                                        " produced no output"));
@@ -382,187 +358,103 @@ BenchmarkTuner::toClusterConfig(const Config& varCfg) const
     return out;
 }
 
-Evaluation
-BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
-                                      std::size_t reps)
+/**
+ * The one timed-rep loop: max(@p reps, 1) timed executes of @p plan,
+ * each preceded — when @p baseSamples is set — by a timed execute of
+ * the all-double plan into it (finalMeasure's interleaving). Returns
+ * the first rep's output, the one verification reads.
+ *
+ * The timed region includes refinement sweeps: recovery is only a win
+ * when the corrected run is still faster than the baseline. A
+ * diverging refinement throws RefineDiverged (never a hang — the
+ * iteration count is bounded).
+ */
+benchmarks::RunOutput
+BenchmarkTuner::timeReps(const benchmarks::RunPlan& plan, bool refined,
+                         std::size_t reps, std::vector<double>& samples,
+                         std::vector<double>* baseSamples) const
 {
-    if (options_.isolation == support::IsolationMode::Fork)
-        return evaluateSandboxed(cfg, reps);
-    if (options_.isolation == support::IsolationMode::Pool)
-        return evaluatePooled(cfg, reps);
-
-    Evaluation eval;
-    PrecisionMap pm = precisionMapFor(cfg);
-
-    // Prepare once per configuration: precision resolution and input
-    // conversion happen here, outside the timed region. Each timed rep
-    // is a pure execute against the per-thread workspace arena, and the
-    // verification output is taken from the first timed rep instead of
-    // a separate untimed run.
-    benchmarks::RunOutput output;
-    std::vector<double> samples;
-    // Timed region includes the refinement sweeps: recovery is only a
-    // win when the corrected run is still faster than the baseline. A
-    // diverging refinement throws RefineDiverged, landing in the catch
-    // below as an ordinary RuntimeFail (never a hang — the iteration
-    // count is bounded).
-    const bool refined = useRefinement(cfg);
-    try {
-        benchmarks::RunPlan plan = benchmark_.prepare(pm);
-        runtime::RunWorkspace& ws = evalWorkspace();
-        std::size_t timedReps = std::max<std::size_t>(reps, 1);
-        samples.reserve(timedReps);
-        for (std::size_t i = 0; i < timedReps; ++i) {
-            support::WallTimer timer;
-            benchmarks::RunOutput repOutput =
-                executeForConfig(plan, ws, refined);
-            samples.push_back(timer.seconds());
-            if (i == 0)
-                output = std::move(repOutput);
-        }
-    } catch (const std::exception&) {
-        eval.status = EvalStatus::RuntimeFail;
-        eval.qualityLoss = std::numeric_limits<double>::quiet_NaN();
-        return eval;
+    reps = std::max<std::size_t>(reps, 1);
+    std::optional<benchmarks::RunPlan> base;
+    if (baseSamples) {
+        base.emplace(
+            benchmark_.prepare(precisionMapFor(Config(clusterCount()))));
+        baseSamples->reserve(reps);
     }
-
-    verify::Verdict verdict =
-        comparator_.verify(reference_, output.values);
-    eval.runtimeSeconds = support::trimmedMean(std::move(samples));
-    eval.speedup = baselineSeconds_ / eval.runtimeSeconds;
-    eval.qualityLoss = verdict.loss;
-    eval.status =
-        verdict.passed ? EvalStatus::Pass : EvalStatus::QualityFail;
-    return eval;
+    samples.reserve(reps);
+    runtime::RunWorkspace& ws = evalWorkspace();
+    benchmarks::RunOutput first;
+    for (std::size_t i = 0; i < reps; ++i) {
+        support::WallTimer timer;
+        if (base) {
+            (void)executeForConfig(*base, ws, false);
+            baseSamples->push_back(timer.seconds());
+            timer.reset();
+        }
+        benchmarks::RunOutput output = executeForConfig(plan, ws, refined);
+        samples.push_back(timer.seconds());
+        if (i == 0)
+            first = std::move(output);
+    }
+    return first;
 }
 
 /**
- * One evaluation attempt in a forked, crash-contained child.
- *
- * prepare() stays in the parent: input conversion is cached per
- * process (CachedInput), and the child inherits the prepared RunPlan
- * through copy-on-write for free — forking before prepare() would
- * re-convert inputs in every child and throw the work away with it.
- * The child only executes, verifies against the inherited reference,
- * and commits a fixed-size payload to the shared arena; the parent
- * reaps, classifies the exit, and maps everything that is not a clean
- * committed result to RuntimeFail for the ordinary retry/quarantine
- * machinery (DESIGN.md §13).
+ * Measure one configuration: prepare it (input conversion stays
+ * outside the timed region), time @p reps executes against the
+ * per-thread workspace, and verify the first rep's output against the
+ * reference. Runs in the tuner process and, unchanged, inside pool
+ * workers; throws what prepare or execute throw.
+ */
+BenchmarkTuner::SandboxPayload
+BenchmarkTuner::measure(const Config& cfg, std::size_t reps,
+                        std::vector<double>* baseSamples) const
+{
+    PrecisionMap pm = precisionMapFor(cfg);
+    benchmarks::RunPlan plan = benchmark_.prepare(pm);
+    std::vector<double> samples;
+    benchmarks::RunOutput output =
+        timeReps(plan, useRefinement(cfg), reps, samples, baseSamples);
+    verify::Verdict verdict =
+        comparator_.verify(reference_, output.values);
+    SandboxPayload payload;
+    payload.runtimeSeconds = support::trimmedMean(std::move(samples));
+    payload.loss = verdict.loss;
+    payload.passed = verdict.passed ? 1 : 0;
+    return payload;
+}
+
+/**
+ * The one outcome classifier (DESIGN.md §13): how an attempt ended,
+ * in process or on a pool worker, becomes the Evaluation the search
+ * sees. Only a clean attempt with a valid result record measured
+ * anything; everything else is a RuntimeFail for the ordinary
+ * retry/quarantine machinery. A contained C++ exception is a property
+ * of the configuration, so it stays memoizable; a crash, a deadline
+ * kill or a torn record is not, and never reaches the memo-cache.
  */
 Evaluation
-BenchmarkTuner::evaluateSandboxed(const Config& cfg, std::size_t reps)
+BenchmarkTuner::classify(support::ChildExit exit, int detail,
+                         bool resultValid,
+                         const SandboxPayload& payload) const
 {
-    // A raw fault drawn by FaultyProblem on this thread detonates
-    // inside the child, never in the parent.
-    const search::RawFault rawFault = search::takePendingRawFault();
-
     Evaluation eval;
     eval.status = EvalStatus::RuntimeFail;
     eval.qualityLoss = std::numeric_limits<double>::quiet_NaN();
     eval.memoizable = false;
-
-    if (crashCutoffTripped())
-        return eval;
-
-    support::ShmArena arena(sizeof(SandboxPayload));
-    support::ChildOutcome child;
-    const bool refined = useRefinement(cfg);
-    try {
-        PrecisionMap pm = precisionMapFor(cfg);
-        benchmarks::RunPlan plan = benchmark_.prepare(pm);
-        child = support::runInFork(
-            [&] {
-                search::executeRawFault(rawFault);
-                runtime::RunWorkspace ws; // child-private arena
-                support::WallTimer childTimer;
-                benchmarks::RunOutput output;
-                std::size_t timedReps = std::max<std::size_t>(reps, 1);
-                std::vector<double> samples;
-                samples.reserve(timedReps);
-                for (std::size_t i = 0; i < timedReps; ++i) {
-                    support::WallTimer timer;
-                    // RefineDiverged thrown here is contained by the
-                    // fork trampoline (kChildBodyThrew) and classified
-                    // exactly like the in-process RuntimeFail.
-                    benchmarks::RunOutput repOutput =
-                        executeForConfig(plan, ws, refined);
-                    samples.push_back(timer.seconds());
-                    if (i == 0)
-                        output = std::move(repOutput);
-                }
-                SandboxPayload payload;
-                payload.runtimeSeconds =
-                    support::trimmedMean(std::move(samples));
-                payload.stats = verify::computeErrorStats(
-                    reference_, output.values);
-                verify::Verdict verdict =
-                    comparator_.fusible()
-                        ? comparator_.verifyStats(payload.stats)
-                        : comparator_.verify(reference_, output.values);
-                payload.passed = verdict.passed ? 1 : 0;
-                payload.loss = verdict.loss;
-                payload.rawValue = verdict.rawValue;
-                payload.childWallSeconds = childTimer.seconds();
-                arena.commit(&payload, sizeof payload);
-            },
-            options_.resilience.deadlineSeconds);
-    } catch (const std::exception&) {
-        // prepare() failed in the parent — same classification the
-        // in-process path gives it, and nothing was forked.
-        eval.memoizable = true;
-        return eval;
-    }
-
-    SandboxPayload payload;
-    const bool arenaValid = child.exit == support::ChildExit::Clean &&
-                            arena.read(&payload, sizeof payload);
-    {
-        std::lock_guard<std::mutex> lock(sandboxMutex_);
-        ++sandbox_.forks;
-        switch (child.exit) {
-          case support::ChildExit::Clean:
-            if (arenaValid) {
-                ++sandbox_.cleanExits;
-                spawnOverheadSum_ += std::max(
-                    0.0, child.wallSeconds - payload.childWallSeconds);
-            } else {
-                // Exited 0 without a checksum-valid committed payload:
-                // died mid-write or never committed. Untrustworthy.
-                ++sandbox_.arenaCorrupt;
-            }
-            break;
-          case support::ChildExit::NonZeroExit:
-            ++sandbox_.nonZeroExits;
-            break;
-          case support::ChildExit::Signaled:
-            ++sandbox_.signaled;
-            break;
-          case support::ChildExit::KilledOnDeadline:
-            ++sandbox_.killedOnDeadline;
-            break;
-          case support::ChildExit::SpawnFailed:
-            ++sandbox_.spawnFailed;
-            break;
-        }
-    }
-
-    if (child.exit == support::ChildExit::KilledOnDeadline) {
+    if (exit == support::ChildExit::KilledOnDeadline) {
         // Report the kill so the resilience layer counts exactly one
         // deadline miss — identical to a simulated straggler.
         eval.deadlineMiss = true;
         return eval;
     }
-    if (child.exit == support::ChildExit::NonZeroExit &&
-        child.detail == support::kChildBodyThrew) {
-        // The child ran and threw a C++ exception the fork trampoline
-        // contained — the exact failure the in-process path catches
-        // and publishes, so keep it memoizable for trajectory (and
-        // memo-content) identity across isolation modes.
+    if (exit == support::ChildExit::NonZeroExit &&
+        detail == support::kChildBodyThrew) {
         eval.memoizable = true;
         return eval;
     }
-    if (!arenaValid)
-        return eval; // crashed / signaled / corrupt: quarantine fodder
+    if (exit != support::ChildExit::Clean || !resultValid)
+        return eval; // crashed / signaled / torn: quarantine fodder
 
     eval.memoizable = true;
     eval.runtimeSeconds = payload.runtimeSeconds;
@@ -573,10 +465,34 @@ BenchmarkTuner::evaluateSandboxed(const Config& cfg, std::size_t reps)
     return eval;
 }
 
+Evaluation
+BenchmarkTuner::evaluateInProcess(const Config& cfg, std::size_t reps,
+                                  std::vector<double>* baseSamples) const
+{
+    try {
+        return classify(support::ChildExit::Clean, 0, true,
+                        measure(cfg, reps, baseSamples));
+    } catch (const std::exception&) {
+        // A failed prepare or a RefineDiverged: the in-process twin of
+        // a pool worker's contained exception.
+        return classify(support::ChildExit::NonZeroExit,
+                        support::kChildBodyThrew, false, {});
+    }
+}
+
+Evaluation
+BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
+                                      std::size_t reps)
+{
+    if (workerPool_)
+        return evaluatePooled(cfg, reps);
+    return evaluateInProcess(cfg, reps, nullptr);
+}
+
 /**
- * Crash-loop cutoff shared by both sandboxed paths. Returns true (and
- * marks one fast-fail) once crashed children reach the configured cap;
- * the caller then publishes its pre-initialized fast-fail RuntimeFail.
+ * Crash-loop cutoff of the sandboxed path. Returns true (and marks
+ * one fast-fail) once crashed children reach the configured cap; the
+ * caller then fails the attempt without dispatching it.
  */
 bool
 BenchmarkTuner::crashCutoffTripped()
@@ -592,7 +508,7 @@ BenchmarkTuner::crashCutoffTripped()
         support::warn(support::strCat(
             benchmark_.name(), ": ", sandbox_.crashedChildren(),
             " crashed children reached --isolation-max-crashes; "
-            "failing further sandboxed attempts without forking"));
+            "failing further sandboxed attempts without dispatching"));
     }
     return true;
 }
@@ -600,16 +516,15 @@ BenchmarkTuner::crashCutoffTripped()
 /**
  * Pool-worker job handler: runs inside a pre-forked worker child.
  *
- * Unlike the per-attempt fork path, prepare() must happen here, in the
- * worker — the workers forked at construction time and copy-on-write
- * only shares pages that existed then, so a RunPlan prepared later in
- * the parent would be invisible. The cost amortizes the same way it
- * does in the parent: CachedInput and the thread_local workspace stay
- * warm inside the long-lived worker across every job it serves.
+ * prepare() must happen here, in the worker — the workers forked at
+ * construction time and copy-on-write only shares pages that existed
+ * then, so a RunPlan prepared later in the parent would be invisible.
+ * The cost amortizes the same way it does in the parent: CachedInput
+ * and the thread_local workspace stay warm inside the long-lived
+ * worker across every job it serves.
  *
  * Exceptions (prepare failures, RefineDiverged) propagate out into the
- * WorkerPool trampoline, which reports kChildBodyThrew — the same
- * classification the fork path produces for a throwing child.
+ * WorkerPool trampoline, which reports kChildBodyThrew.
  */
 std::size_t
 BenchmarkTuner::poolChildRun(const void* job, std::size_t jobSize,
@@ -628,64 +543,30 @@ BenchmarkTuner::poolChildRun(const void* job, std::size_t jobSize,
     support::WallTimer childTimer;
     search::executeRawFault(
         static_cast<search::RawFault>(header.rawFault));
-
-    const Config cfg = Config::fromString(key);
-    const bool refined = useRefinement(cfg);
-    PrecisionMap pm = precisionMapFor(cfg);
-    benchmarks::RunPlan plan = benchmark_.prepare(pm);
-    runtime::RunWorkspace& ws = evalWorkspace();
-
-    benchmarks::RunOutput output;
-    std::size_t timedReps = std::max<std::size_t>(header.reps, 1);
-    std::vector<double> samples;
-    samples.reserve(timedReps);
-    for (std::size_t i = 0; i < timedReps; ++i) {
-        support::WallTimer timer;
-        benchmarks::RunOutput repOutput =
-            executeForConfig(plan, ws, refined);
-        samples.push_back(timer.seconds());
-        if (i == 0)
-            output = std::move(repOutput);
-    }
-
-    SandboxPayload payload;
-    payload.runtimeSeconds = support::trimmedMean(std::move(samples));
-    payload.stats =
-        verify::computeErrorStats(reference_, output.values);
-    verify::Verdict verdict =
-        comparator_.fusible()
-            ? comparator_.verifyStats(payload.stats)
-            : comparator_.verify(reference_, output.values);
-    payload.passed = verdict.passed ? 1 : 0;
-    payload.loss = verdict.loss;
-    payload.rawValue = verdict.rawValue;
+    SandboxPayload payload = measure(Config::fromString(key), header.reps);
     payload.childWallSeconds = childTimer.seconds();
     std::memcpy(result, &payload, sizeof payload);
     return sizeof payload;
 }
 
 /**
- * One evaluation attempt dispatched to a persistent pool worker.
- *
- * Mirrors evaluateSandboxed() classification for classification —
- * clean-with-payload, thrown-and-contained, crashed, killed on
- * deadline, spawn-starved — so a campaign under --isolation=pool
- * publishes the same evaluations (and memo entries) the fork path
- * would, while paying a ring write instead of a fork per attempt
- * (DESIGN.md §15).
+ * One evaluation attempt dispatched to a persistent pool worker
+ * (DESIGN.md §15): the worker's exit class is counted, then mapped to
+ * an Evaluation by classify().
  */
 Evaluation
 BenchmarkTuner::evaluatePooled(const Config& cfg, std::size_t reps)
 {
+    // A raw fault drawn by FaultyProblem on this thread detonates
+    // inside the worker, never in the parent.
     const search::RawFault rawFault = search::takePendingRawFault();
+    SandboxPayload payload;
 
-    Evaluation eval;
-    eval.status = EvalStatus::RuntimeFail;
-    eval.qualityLoss = std::numeric_limits<double>::quiet_NaN();
-    eval.memoizable = false;
-
+    // Past the cutoff nothing is dispatched: the attempt fails like
+    // one no worker could be spawned for.
     if (crashCutoffTripped())
-        return eval;
+        return classify(support::ChildExit::SpawnFailed, 0, false,
+                        payload);
 
     const std::string key = cfg.toString();
     PoolJobHeader header;
@@ -696,7 +577,6 @@ BenchmarkTuner::evaluatePooled(const Config& cfg, std::size_t reps)
     std::memcpy(job.data(), &header, sizeof header);
     std::memcpy(job.data() + sizeof header, key.data(), key.size());
 
-    SandboxPayload payload;
     support::PoolOutcome outcome = workerPool_->run(
         job.data(), job.size(), &payload, sizeof payload,
         options_.resilience.deadlineSeconds);
@@ -712,7 +592,7 @@ BenchmarkTuner::evaluatePooled(const Config& cfg, std::size_t reps)
                     outcome.wallSeconds - payload.childWallSeconds);
             } else {
                 // Worker answered but the result record is torn:
-                // untrustworthy, same as a corrupt fork arena.
+                // untrustworthy.
                 ++sandbox_.arenaCorrupt;
             }
             break;
@@ -730,30 +610,8 @@ BenchmarkTuner::evaluatePooled(const Config& cfg, std::size_t reps)
             break;
         }
     }
-
-    if (outcome.exit == support::ChildExit::KilledOnDeadline) {
-        eval.deadlineMiss = true;
-        return eval;
-    }
-    if (outcome.exit == support::ChildExit::NonZeroExit &&
-        outcome.detail == support::kChildBodyThrew) {
-        // The handler threw and the worker trampoline contained it —
-        // the worker itself lives on. Memoizable for trajectory and
-        // memo-content identity with fork and in-process evaluation.
-        eval.memoizable = true;
-        return eval;
-    }
-    if (outcome.exit != support::ChildExit::Clean ||
-        !outcome.resultValid)
-        return eval; // crashed / signaled / torn: quarantine fodder
-
-    eval.memoizable = true;
-    eval.runtimeSeconds = payload.runtimeSeconds;
-    eval.speedup = baselineSeconds_ / payload.runtimeSeconds;
-    eval.qualityLoss = payload.loss;
-    eval.status = payload.passed != 0 ? EvalStatus::Pass
-                                      : EvalStatus::QualityFail;
-    return eval;
+    return classify(outcome.exit, outcome.detail, outcome.resultValid,
+                    payload);
 }
 
 std::vector<pid_t>
@@ -773,8 +631,7 @@ BenchmarkTuner::sandboxStats() const
             ? spawnOverheadSum_ / static_cast<double>(stats.cleanExits)
             : 0.0;
     if (workerPool_) {
-        // Pool-mode bookkeeping lives in the pool itself; fold it in
-        // so `forks` keeps meaning "fork() calls" across modes.
+        // Process bookkeeping lives in the pool itself.
         support::WorkerPoolStats pool = workerPool_->stats();
         stats.forks = pool.forks;
         stats.poolDispatches = pool.dispatched;
@@ -786,51 +643,15 @@ BenchmarkTuner::sandboxStats() const
 Evaluation
 BenchmarkTuner::finalMeasure(const Config& cfg)
 {
-    Evaluation eval;
-    PrecisionMap pm = precisionMapFor(cfg);
-    PrecisionMap allDouble;
-    allDouble.setOwner(benchmark_.name());
-
-    // Both versions are prepared once and interleaved as pure executes;
-    // the verification output comes from the first timed tuned rep.
-    benchmarks::RunOutput output;
-    std::size_t reps = std::max<std::size_t>(options_.finalReps, 1);
+    // Both versions are prepared once and interleaved rep by rep, so
+    // the speedup is the ratio of trimmed means taken side by side.
     std::vector<double> baseSamples;
-    std::vector<double> cfgSamples;
-    const bool refined = useRefinement(cfg);
-    try {
-        benchmarks::RunPlan cfgPlan = benchmark_.prepare(pm);
-        benchmarks::RunPlan basePlan = benchmark_.prepare(allDouble);
-        runtime::RunWorkspace& ws = evalWorkspace();
-        baseSamples.reserve(reps);
-        cfgSamples.reserve(reps);
-        for (std::size_t i = 0; i < reps; ++i) {
-            support::WallTimer timer;
-            (void)benchmark_.execute(basePlan, ws);
-            baseSamples.push_back(timer.seconds());
-            timer.reset();
-            benchmarks::RunOutput repOutput =
-                executeForConfig(cfgPlan, ws, refined);
-            cfgSamples.push_back(timer.seconds());
-            if (i == 0)
-                output = std::move(repOutput);
-        }
-    } catch (const std::exception&) {
-        eval.status = EvalStatus::RuntimeFail;
-        eval.qualityLoss = std::numeric_limits<double>::quiet_NaN();
-        return eval;
-    }
-    verify::Verdict verdict =
-        comparator_.verify(reference_, output.values);
-
-    double baseMean = support::trimmedMean(baseSamples);
-    double cfgMean = support::trimmedMean(cfgSamples);
-
-    eval.runtimeSeconds = cfgMean;
-    eval.speedup = baseMean / cfgMean;
-    eval.qualityLoss = verdict.loss;
-    eval.status =
-        verdict.passed ? EvalStatus::Pass : EvalStatus::QualityFail;
+    Evaluation eval =
+        evaluateInProcess(cfg, options_.finalReps, &baseSamples);
+    if (eval.status != EvalStatus::RuntimeFail)
+        eval.speedup =
+            support::trimmedMean(std::move(baseSamples)) /
+            eval.runtimeSeconds;
     return eval;
 }
 
@@ -1010,9 +831,6 @@ BenchmarkTuner::tune(search::SearchStrategy& strategy)
         Evaluation final = finalMeasure(outcome.clusterConfig);
         outcome.finalSpeedup = final.speedup;
         outcome.finalQualityLoss = final.qualityLoss;
-    } else {
-        outcome.finalSpeedup = 1.0;
-        outcome.finalQualityLoss = 0.0;
     }
     return outcome;
 }
@@ -1082,6 +900,15 @@ BenchmarkTuner::tunePortfolio(
         Evaluation final;
     };
     std::vector<Candidate> candidates;
+    // Re-measures @p cluster unless it already is a candidate.
+    auto addCandidate = [&](std::size_t entrant, search::Config cluster) {
+        for (const Candidate& seen : candidates)
+            if (seen.cluster == cluster)
+                return false;
+        Evaluation final = finalMeasure(cluster);
+        candidates.push_back({entrant, std::move(cluster), final});
+        return true;
+    };
     for (std::size_t i = 0; i < entrants.size(); ++i) {
         const search::SearchResult& result =
             outcome.portfolio.results[i];
@@ -1089,17 +916,8 @@ BenchmarkTuner::tunePortfolio(
             continue;
         bool variableLevel = entrants[i].strategy->granularity() ==
                              search::Granularity::Variable;
-        search::Config cluster = variableLevel
-                                     ? toClusterConfig(result.best)
-                                     : result.best;
-        bool duplicate = false;
-        for (const Candidate& seen : candidates)
-            duplicate = duplicate || seen.cluster == cluster;
-        if (duplicate)
-            continue;
-        Candidate candidate{i, std::move(cluster), {}};
-        candidate.final = finalMeasure(candidate.cluster);
-        candidates.push_back(std::move(candidate));
+        addCandidate(i, variableLevel ? toClusterConfig(result.best)
+                                      : result.best);
     }
 
     // The entrant bests alone can miss the true optimum: under
@@ -1135,17 +953,9 @@ BenchmarkTuner::tunePortfolio(
             // sub-1.0 stored speedup.
             if (!eval.passed() || key.size() != clusterCount())
                 continue;
-            search::Config cluster = search::Config::fromString(key);
-            bool duplicate = false;
-            for (const Candidate& seen : candidates)
-                duplicate = duplicate || seen.cluster == cluster;
-            if (duplicate)
-                continue;
-            Candidate candidate{entrants.size(), std::move(cluster),
-                                {}};
-            candidate.final = finalMeasure(candidate.cluster);
-            candidates.push_back(std::move(candidate));
-            ++taken;
+            if (addCandidate(entrants.size(),
+                             search::Config::fromString(key)))
+                ++taken;
         }
     }
 

@@ -114,23 +114,21 @@ struct TunerOptions {
 
     /**
      * Where each search evaluation attempt executes (harness
-     * --isolation): in this process, in a forked child per attempt
-     * so a configuration that SIGSEGVs, aborts or hangs is contained
-     * and quarantined instead of killing the tuner (DESIGN.md §13),
-     * or on a persistent pre-forked worker pool that amortizes the
-     * spawn cost across the whole campaign (DESIGN.md §15).
-     * Final measurements always run in-process — only configurations
-     * that already survived the sandbox reach them.
+     * --isolation): in this process, or on a persistent pre-forked
+     * worker pool so a configuration that SIGSEGVs, aborts or hangs
+     * is contained and quarantined instead of killing the tuner
+     * (DESIGN.md §13, §15). Final measurements always run
+     * in-process — only configurations that already survived the
+     * sandbox reach them.
      */
     support::IsolationMode isolation = support::IsolationMode::None;
 
     /**
      * Crash-loop cutoff (harness --isolation-max-crashes): once this
      * many children have crashed or been killed, further sandboxed
-     * attempts fail fast without forking. 0 = unlimited. Under
-     * isolation = Pool this also caps worker re-forks: each dead
-     * worker is re-forked, but once the cutoff trips no further jobs
-     * are dispatched.
+     * attempts fail fast without dispatching. 0 = unlimited. This
+     * also caps worker re-forks: each dead worker is re-forked, but
+     * once the cutoff trips no further jobs are dispatched.
      */
     std::size_t isolationMaxCrashes = 0;
 
@@ -143,32 +141,27 @@ struct TunerOptions {
 };
 
 /**
- * Sandboxed-evaluation accounting (isolation = Fork); all zero under
- * in-process evaluation. Child deaths are classified by exit class —
- * each nonzero-exit / signaled / killed / corrupt child surfaced to
- * the search layer as a RuntimeFail and fed the ordinary
+ * Sandboxed-evaluation accounting (isolation = Pool); all zero under
+ * in-process evaluation. Jobs are classified by the worker's exit
+ * class — each nonzero-exit / signaled / killed / corrupt job surfaced
+ * to the search layer as a RuntimeFail and fed the ordinary
  * retry-then-quarantine machinery.
  */
 struct SandboxStats {
-    std::size_t forks = 0;            ///< children spawned
-    std::size_t cleanExits = 0;       ///< _exit(0) with a valid arena
-    std::size_t nonZeroExits = 0;     ///< exited with a nonzero code
+    std::size_t forks = 0;            ///< fork() calls: spawn + respawns
+    std::size_t cleanExits = 0;       ///< jobs answered with a valid result
+    std::size_t nonZeroExits = 0;     ///< exited (or threw) nonzero
     std::size_t signaled = 0;         ///< died by signal (SIGSEGV, abort)
     std::size_t killedOnDeadline = 0; ///< SIGKILLed by the parent
-    std::size_t arenaCorrupt = 0;     ///< exited 0 but tore the arena
-    std::size_t spawnFailed = 0;      ///< fork() itself failed
+    std::size_t arenaCorrupt = 0;     ///< answered with a torn result
+    std::size_t spawnFailed = 0;      ///< no worker could be forked
     std::size_t fastFailed = 0;       ///< crash-loop cutoff short-circuits
-
-    /// Pool-mode extras (isolation = Pool); zero otherwise. Under the
-    /// pool, `forks` counts actual fork() calls (initial spawn plus
-    /// respawns) while dispatches counts jobs served over the rings.
     std::size_t poolDispatches = 0;   ///< jobs handed to pool workers
     std::size_t workerRespawns = 0;   ///< workers re-forked after a death
 
-    /** Mean fork+reap overhead per clean child (parent wall clock
-     *  minus child-side execution wall clock). Under isolation = Pool
-     *  this is the per-job dispatch overhead (ring write + doorbell +
-     *  result read), the number the spawn-amortization bench gates. */
+    /** Mean per-job dispatch overhead (ring write + doorbell + result
+     *  read): parent wall clock minus worker-side wall clock, over
+     *  clean jobs. */
     double spawnOverheadMeanSeconds = 0.0;
 
     /** Children that produced no usable result. */
@@ -294,7 +287,7 @@ class BenchmarkTuner {
     runOptionsFor(search::Granularity granularity);
 
     /** Evaluate one cluster configuration with @p reps timing reps.
-     *  Runs in a forked child under isolation = Fork. */
+     *  Runs on a pool worker under isolation = Pool. */
     search::Evaluation evaluateClusterConfig(const search::Config& cfg,
                                              std::size_t reps);
 
@@ -361,18 +354,30 @@ class BenchmarkTuner {
     class ClusterProblem;
     class VariableProblem;
 
+    /** Result record of one measured configuration (tuner.cc). */
+    struct SandboxPayload;
+
     void buildStructure();
     void runBaseline();
-    bool isVarLowered(const search::Config& varCfg,
-                      model::VarId var) const;
     std::uint8_t varLevel(const search::Config& varCfg,
                           model::VarId var) const;
     bool useRefinement(const search::Config& cfg) const;
     benchmarks::RunOutput executeForConfig(
         const benchmarks::RunPlan& plan, runtime::RunWorkspace& ws,
         bool refined) const;
-    search::Evaluation evaluateSandboxed(const search::Config& cfg,
-                                         std::size_t reps);
+    benchmarks::RunOutput
+    timeReps(const benchmarks::RunPlan& plan, bool refined,
+             std::size_t reps, std::vector<double>& samples,
+             std::vector<double>* baseSamples = nullptr) const;
+    SandboxPayload measure(const search::Config& cfg, std::size_t reps,
+                           std::vector<double>* baseSamples = nullptr)
+        const;
+    search::Evaluation classify(support::ChildExit exit, int detail,
+                                bool resultValid,
+                                const SandboxPayload& payload) const;
+    search::Evaluation
+    evaluateInProcess(const search::Config& cfg, std::size_t reps,
+                      std::vector<double>* baseSamples) const;
     search::Evaluation evaluatePooled(const search::Config& cfg,
                                       std::size_t reps);
     /** WorkerPool job handler; runs inside a pool worker child. */

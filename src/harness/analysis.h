@@ -47,14 +47,14 @@ struct AnalysisResult {
     bool timedOut = false;
     std::string configuration;   ///< winning cluster config bits
 
-    /// Sandbox accounting (--isolation=fork|pool); all zero otherwise.
-    std::size_t childForks = 0;       ///< forked evaluation children
+    /// Sandbox accounting (--isolation=pool); all zero otherwise.
+    std::size_t childForks = 0;       ///< pool worker fork() calls
     std::size_t childKills = 0;       ///< SIGKILLed on deadline
     std::size_t childNonZeroExits = 0; ///< quarantined: nonzero exit
     std::size_t childSignaled = 0;    ///< quarantined: died by signal
     std::size_t childArenaCorrupt = 0; ///< quarantined: torn result arena
     std::size_t childRespawns = 0;    ///< pool workers re-forked after death
-    double childSpawnMeanSeconds = 0.0; ///< mean fork+reap/dispatch overhead
+    double childSpawnMeanSeconds = 0.0; ///< mean dispatch overhead
 };
 
 /** Base class for harness analyses (the paper's plugin interface). */

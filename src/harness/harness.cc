@@ -472,9 +472,8 @@ resultsToJson(const std::vector<JobResult>& results)
         entry.set("restored", Value::boolean(r.restored));
         entry.set("configuration",
                   Value::string(r.result.configuration));
-        // Sandbox breakdown (--isolation=fork|pool): quarantines by
-        // child exit class plus the mean fork+reap (fork) or dispatch
-        // (pool) overhead per clean child.
+        // Sandbox breakdown (--isolation=pool): quarantines by child
+        // exit class plus the mean dispatch overhead per clean job.
         Value sandbox = Value::object();
         sandbox.set("forks",
                     Value::number(

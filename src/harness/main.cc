@@ -6,7 +6,7 @@
  *                     [--search-jobs N] [--reps R]
  *                     [--budget E] [--seed S] [--retries N]
  *                     [--deadline S] [--fault-rate P]
- *                     [--isolation none|fork|pool]
+ *                     [--isolation none|pool]
  *                     [--isolation-max-crashes N] [--pool-workers N]
  *                     [--checkpoint F] [--resume F]
  *                     [--memo-cache DIR] [--portfolio]
@@ -63,14 +63,13 @@ main(int argc, char** argv)
                " (default 0)\n"
                "  --fault-seed  fault decision seed (default --seed)\n"
                "  --fault-raw-crash-rate  child abort() probability"
-               " (fork/pool isolation only)\n"
+               " (needs --isolation=pool)\n"
                "  --fault-raw-hang-rate   child spin-hang probability"
-               " (fork/pool isolation + --deadline)\n"
+               " (needs --isolation=pool and --deadline)\n"
                "  --fault-raw-segv-rate   child SIGSEGV probability"
-               " (fork/pool isolation only)\n"
-               "  --isolation   evaluation sandbox: none, fork (one"
-               " child per attempt) or pool (persistent pre-forked"
-               " workers) (default none)\n"
+               " (needs --isolation=pool)\n"
+               "  --isolation   evaluation sandbox: none or pool"
+               " (persistent pre-forked workers) (default none)\n"
                "  --isolation-max-crashes  fail fast after this many"
                " crashed children (default 0 = unlimited)\n"
                "  --pool-workers  persistent sandbox workers under"

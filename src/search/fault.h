@@ -50,7 +50,7 @@ struct FaultPlan {
 
     /**
      * Set by the tuner when evaluations execute under
-     * --isolation=fork. Constructing a FaultyProblem with raw rates
+     * --isolation=pool. Constructing a FaultyProblem with raw rates
      * but without this flag is a recoverable configuration error.
      */
     bool sandboxed = false;

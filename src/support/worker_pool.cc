@@ -160,8 +160,8 @@ WorkerPool::spawnLocked(Worker& w)
     if (pid == 0) {
         // Worker loop: block on the job doorbell, run the handler on
         // the committed job, commit [status | result] and ring back.
-        // _exit discipline as in runInFork — no atexit handlers, no
-        // stdio flush of buffers inherited from the parent.
+        // Leave only through _exit — no atexit handlers, no stdio
+        // flush of buffers inherited from the parent.
         std::vector<unsigned char> job(sizeof(std::uint32_t) +
                                        jobCapacity_);
         std::vector<unsigned char> result(sizeof(std::uint32_t) +
@@ -383,7 +383,7 @@ WorkerPool::run(const void* job, std::size_t jobSize, void* result,
     }
 
     // The worker died (by its own hand or our deadline SIGKILL): reap,
-    // classify with the runInFork taxonomy, and re-fork the slot.
+    // classify with the ChildExit taxonomy, and re-fork the slot.
     int wstatus = 0;
     while (::waitpid(w->pid, &wstatus, 0) < 0 && errno == EINTR) {
     }

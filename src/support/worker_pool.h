@@ -5,7 +5,7 @@
  * @file
  * Persistent pre-forked sandbox worker pool (DESIGN.md, Section 15).
  *
- * Where runInFork() pays a fresh fork()+copy-on-write fault storm per
+ * Rather than paying a fresh fork()+copy-on-write fault storm per
  * evaluation, a WorkerPool forks N long-lived children once, at
  * campaign start, and feeds them over per-worker shared-memory job
  * rings. One evaluation then costs a ring write plus an eventfd
@@ -28,8 +28,8 @@
  *
  * A handler that crashes, spins past the deadline or _exit()s takes
  * only its worker with it: the parent classifies the death with the
- * runInFork ChildExit taxonomy, reaps the corpse, and re-forks a fresh
- * worker on the same rings and doorbells (the shared mappings and
+ * ChildExit taxonomy, reaps the corpse, and re-forks a fresh worker
+ * on the same rings and doorbells (the shared mappings and
  * parent-side eventfds survive the child), so the pool's file
  * descriptor count is constant for the life of the pool. A handler
  * that merely throws is contained in-worker (status kChildBodyThrew)
@@ -56,14 +56,15 @@ namespace hpcmixp::support {
 
 /** Classified outcome of one WorkerPool::run() dispatch. */
 struct PoolOutcome {
-    /** Reuses the runInFork taxonomy: Clean means the worker committed
+    /** The ChildExit taxonomy: Clean means the worker committed
      *  a result envelope and kept running; NonZeroExit with detail
      *  kChildBodyThrew means the handler threw (contained in-worker);
      *  other NonZeroExit / Signaled / KilledOnDeadline / SpawnFailed
      *  mean the worker died serving this job and was re-forked. */
     ChildExit exit = ChildExit::Clean;
 
-    /** Exit code, terminating signal, or errno — as in ChildOutcome. */
+    /** Exit code (NonZeroExit), terminating signal (Signaled,
+     *  KilledOnDeadline) or errno (SpawnFailed); 0 otherwise. */
     int detail = 0;
 
     /** Parent wall clock from dispatch to classified completion. */
@@ -116,9 +117,9 @@ class WorkerPool {
     /**
      * Dispatch one job and block until it completes, the worker dies,
      * or @p deadlineSeconds expires (<= 0 waits forever; on expiry the
-     * worker is SIGKILLed and reported KilledOnDeadline, like
-     * runInFork). On Clean completion the handler's result is copied
-     * into @p result when its size is exactly @p resultSize —
+     * worker is SIGKILLed and reported KilledOnDeadline). On Clean
+     * completion the handler's result is copied into @p result when
+     * its size is exactly @p resultSize —
      * resultValid says whether it was. A dead worker is reaped,
      * classified and re-forked before run() returns; if the re-fork
      * fails the next dispatch retries it, and only when no worker can

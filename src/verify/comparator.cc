@@ -46,7 +46,7 @@ Verdict
 OutputComparator::verifyStats(const ErrorStats& stats) const
 {
     HPCMIXP_ASSERT(fused_ != Fused::None,
-                   "verifyStats requires a fusible (built-in) metric");
+                   "verifyStats requires a built-in metric");
     Verdict verdict;
     switch (fused_) {
     case Fused::Mae:
