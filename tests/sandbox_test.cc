@@ -257,6 +257,73 @@ dataCluster(const core::BenchmarkTuner& tuner,
         bench.programModel().findVariable("data"));
 }
 
+TEST(SandboxTuner, SegvIsContainedAndQuarantined)
+{
+    RawHostileBenchmark bench(RawHostileBenchmark::Mode::Segv);
+    core::BenchmarkTuner tuner(bench, sandboxOptions());
+    auto outcome = tuner.tune("DD");
+
+    // Campaign view of a SIGSEGVing cluster: quarantined, the search
+    // finishes, and the winner avoids it.
+    EXPECT_GT(outcome.search.quarantined, 0u);
+    EXPECT_FALSE(outcome.clusterConfig.test(dataCluster(tuner, bench)));
+    EXPECT_LE(outcome.finalQualityLoss, 1e-6);
+    auto stats = tuner.sandboxStats();
+    // ASan converts the SEGV into a nonzero exit; bare builds die by
+    // signal. Both are containment, and each costs one re-fork.
+    EXPECT_GT(stats.signaled + stats.nonZeroExits, 0u);
+    EXPECT_EQ(stats.workerRespawns, stats.crashedChildren());
+    EXPECT_EQ(stats.killedOnDeadline, 0u);
+}
+
+TEST(SandboxTuner, AbortingCampaignCompletesWithValidWinner)
+{
+    // Batch-parallel twin of PoolTuner's serial campaign: aborting
+    // children are contained while other workers of the same batch
+    // answer cleanly.
+    RawHostileBenchmark bench(RawHostileBenchmark::Mode::Abort);
+    core::TunerOptions opt = sandboxOptions();
+    opt.searchJobs = 4;
+    core::BenchmarkTuner tuner(bench, opt);
+    auto outcome = tuner.tune("DD");
+
+    EXPECT_GT(outcome.search.quarantined, 0u);
+    EXPECT_FALSE(outcome.clusterConfig.test(dataCluster(tuner, bench)));
+    EXPECT_LE(outcome.finalQualityLoss, 1e-6);
+    auto stats = tuner.sandboxStats();
+    EXPECT_GT(stats.signaled + stats.nonZeroExits, 0u);
+    EXPECT_GT(stats.cleanExits, 0u);
+    EXPECT_EQ(stats.workerRespawns, stats.crashedChildren());
+}
+
+TEST(SandboxTuner, GenuineHangIsKilledOnDeadline)
+{
+    RawHostileBenchmark bench(RawHostileBenchmark::Mode::Spin);
+    core::TunerOptions opt = sandboxOptions();
+    opt.resilience.deadlineSeconds = 0.25;
+    core::BenchmarkTuner tuner(bench, opt);
+    Config toxic(tuner.clusterCount());
+    toxic.set(dataCluster(tuner, bench));
+
+    // One genuinely spinning evaluation: the worker is killed on the
+    // deadline, promptly, and reported as exactly one deadline miss.
+    support::WallTimer timer;
+    auto eval = tuner.evaluateClusterConfig(toxic, 1);
+    EXPECT_LT(timer.seconds(), 10.0);
+    EXPECT_EQ(eval.status, EvalStatus::RuntimeFail);
+    EXPECT_TRUE(eval.deadlineMiss);
+    EXPECT_FALSE(eval.memoizable);
+    auto stats = tuner.sandboxStats();
+    EXPECT_EQ(stats.killedOnDeadline, 1u);
+    EXPECT_EQ(stats.workerRespawns, 1u);
+
+    // The re-forked worker serves the next evaluation cleanly.
+    auto clean = tuner.evaluateClusterConfig(Config(tuner.clusterCount()), 1);
+    EXPECT_EQ(clean.status, EvalStatus::Pass);
+    EXPECT_FALSE(clean.deadlineMiss);
+    EXPECT_EQ(tuner.sandboxStats().cleanExits, 1u);
+}
+
 TEST(SandboxTuner, NonzeroExitQuarantines)
 {
     RawHostileBenchmark bench(RawHostileBenchmark::Mode::Exit3);
@@ -313,6 +380,125 @@ TEST(SandboxTuner, BatchParallelPoolMatchesSerialPool)
     EXPECT_EQ(parallel.search.evaluated, serial.search.evaluated);
     EXPECT_EQ(parallel.search.best, serial.search.best);
     EXPECT_EQ(parallel.clusterConfig, serial.clusterConfig);
+}
+
+TEST(SandboxTuner, ThrowMatchesInProcessClassification)
+{
+    RawHostileBenchmark bench(RawHostileBenchmark::Mode::Throw);
+    Config cfg;
+    auto evaluate = [&bench, &cfg](IsolationMode isolation) {
+        core::TunerOptions opt = sandboxOptions();
+        opt.isolation = isolation;
+        core::BenchmarkTuner tuner(bench, opt);
+        cfg = Config(tuner.clusterCount());
+        cfg.set(dataCluster(tuner, bench));
+        return tuner.evaluateClusterConfig(cfg, 1);
+    };
+    auto pooled = evaluate(IsolationMode::Pool);
+    auto inproc = evaluate(IsolationMode::None);
+
+    // A contained C++ exception classifies exactly like the
+    // in-process catch: RuntimeFail, NaN loss — and stays memoizable.
+    EXPECT_EQ(pooled.status, EvalStatus::RuntimeFail);
+    EXPECT_EQ(pooled.status, inproc.status);
+    EXPECT_TRUE(std::isnan(pooled.qualityLoss));
+    EXPECT_TRUE(std::isnan(inproc.qualityLoss));
+    EXPECT_TRUE(pooled.memoizable);
+    EXPECT_EQ(pooled.memoizable, inproc.memoizable);
+    EXPECT_EQ(pooled.deadlineMiss, inproc.deadlineMiss);
+}
+
+TEST(SandboxTuner, CrashLoopCutoffStopsForking)
+{
+    RawHostileBenchmark bench(RawHostileBenchmark::Mode::Exit3);
+    core::TunerOptions opt = sandboxOptions();
+    opt.isolationMaxCrashes = 2;
+    core::BenchmarkTuner tuner(bench, opt);
+
+    Config toxic(tuner.clusterCount());
+    toxic.set(dataCluster(tuner, bench));
+    for (int i = 0; i < 5; ++i) {
+        auto eval = tuner.evaluateClusterConfig(toxic, 1);
+        EXPECT_EQ(eval.status, EvalStatus::RuntimeFail);
+    }
+    // Once tripped, the cutoff fails every sandboxed attempt, a clean
+    // configuration included, without dispatching or re-forking.
+    auto clean = tuner.evaluateClusterConfig(Config(tuner.clusterCount()), 1);
+    EXPECT_EQ(clean.status, EvalStatus::RuntimeFail);
+    EXPECT_FALSE(clean.memoizable);
+
+    auto stats = tuner.sandboxStats();
+    EXPECT_EQ(stats.nonZeroExits, 2u);
+    EXPECT_EQ(stats.poolDispatches, 2u);
+    EXPECT_EQ(stats.fastFailed, 4u);
+    EXPECT_EQ(stats.cleanExits, 0u);
+    // The initial worker plus one re-fork per crash.
+    EXPECT_EQ(stats.forks, 3u);
+}
+
+TEST(SandboxTuner, HundredEvalsLeakNoFdsOrZombies)
+{
+    // Signal-death twin of PoolTuner's exit-code campaign: every other
+    // dispatch SIGSEGVs its worker (a nonzero exit under ASan).
+    const std::size_t preTuner = openFdCount();
+    {
+        RawHostileBenchmark bench(RawHostileBenchmark::Mode::Segv);
+        core::BenchmarkTuner tuner(bench, sandboxOptions());
+        Config clean(tuner.clusterCount());
+        Config toxic(tuner.clusterCount());
+        toxic.set(dataCluster(tuner, bench));
+
+        const std::size_t during = openFdCount();
+        for (int i = 0; i < 50; ++i) {
+            (void)tuner.evaluateClusterConfig(clean, 1);
+            (void)tuner.evaluateClusterConfig(toxic, 1);
+        }
+        EXPECT_EQ(openFdCount(), during);
+        auto stats = tuner.sandboxStats();
+        EXPECT_EQ(stats.poolDispatches, 100u);
+        EXPECT_EQ(stats.cleanExits, 50u);
+        EXPECT_EQ(stats.signaled + stats.nonZeroExits, 50u);
+        EXPECT_EQ(stats.workerRespawns, 50u);
+        EXPECT_EQ(stats.forks, 51u);
+    }
+    // Every child was reaped: no zombies left for anyone to collect.
+    EXPECT_EQ(openFdCount(), preTuner);
+    int status = 0;
+    EXPECT_EQ(::waitpid(-1, &status, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(SandboxTuner, ForkAndInProcessAreTrajectoryIdentical)
+{
+    // Batch-parallel twin of PoolTuner.PoolAndInProcessAreTrajectory-
+    // Identical: each batch is spread over four forked workers, and
+    // the campaign still matches four in-process evaluation threads.
+    auto campaign = [](IsolationMode isolation,
+                       support::json::Value& cache) {
+        RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
+        core::TunerOptions opt = sandboxOptions();
+        opt.isolation = isolation;
+        opt.searchJobs = 4;
+        opt.checkpointEvery = 1;
+        opt.checkpointSink = [&cache](const support::json::Value& v) {
+            cache = v;
+        };
+        core::BenchmarkTuner tuner(bench, opt);
+        return tuner.tune("DD");
+    };
+
+    support::json::Value forkCache, inprocCache;
+    auto forked = campaign(IsolationMode::Pool, forkCache);
+    auto inproc = campaign(IsolationMode::None, inprocCache);
+
+    EXPECT_EQ(forked.search.evaluated, inproc.search.evaluated);
+    EXPECT_EQ(forked.search.cacheHits, inproc.search.cacheHits);
+    EXPECT_EQ(forked.search.compileFailures,
+              inproc.search.compileFailures);
+    EXPECT_EQ(forked.clusterConfig, inproc.clusterConfig);
+    EXPECT_EQ(forked.search.best, inproc.search.best);
+    EXPECT_DOUBLE_EQ(forked.finalQualityLoss, inproc.finalQualityLoss);
+    EXPECT_EQ(cacheSnapshot(forkCache), cacheSnapshot(inprocCache));
 }
 
 // ---- WorkerPool --------------------------------------------------------
@@ -567,15 +753,6 @@ TEST(PoolTuner, ThrowIsContainedWithoutKillingTheWorker)
     auto stats = tuner.sandboxStats();
     EXPECT_EQ(stats.nonZeroExits, 1u);
     EXPECT_EQ(stats.workerRespawns, 0u);
-
-    core::TunerOptions inProcess = sandboxOptions();
-    inProcess.isolation = IsolationMode::None;
-    core::BenchmarkTuner reference(bench, inProcess);
-    auto expected = reference.evaluateClusterConfig(cfg, 1);
-    EXPECT_EQ(eval.status, expected.status);
-    EXPECT_TRUE(std::isnan(expected.qualityLoss));
-    EXPECT_EQ(eval.memoizable, expected.memoizable);
-    EXPECT_EQ(eval.deadlineMiss, expected.deadlineMiss);
 }
 
 TEST(PoolTuner, TwoHundredEvalsLeakNoFdsOrZombies)
@@ -651,6 +828,49 @@ TEST(PoolTuner, PoolAndInProcessAreTrajectoryIdentical)
     (void)tuner.evaluateClusterConfig(Config(tuner.clusterCount()), 1);
     EXPECT_EQ(tuner.sandboxStats().cleanExits, 1u);
     EXPECT_EQ(tuner.sandboxStats().poolDispatches, 1u);
+}
+
+TEST(PoolTuner, PoolAndForkAreTrajectoryIdentical)
+{
+    // A throwing configuration leaves its persistent worker alive; an
+    // exiting one kills it, so every later job runs on a freshly
+    // re-forked worker. Both are the same RuntimeFail to the search,
+    // and the re-forks must not perturb the trajectory.
+    auto campaign = [](RawHostileBenchmark::Mode mode,
+                       support::json::Value& cache,
+                       core::SandboxStats& stats) {
+        RawHostileBenchmark bench(mode);
+        core::TunerOptions opt = sandboxOptions();
+        opt.checkpointEvery = 1;
+        opt.checkpointSink = [&cache](const support::json::Value& v) {
+            cache = v;
+        };
+        core::BenchmarkTuner tuner(bench, opt);
+        auto outcome = tuner.tune("DD");
+        stats = tuner.sandboxStats();
+        return outcome;
+    };
+
+    support::json::Value poolCache, forkCache;
+    core::SandboxStats poolStats, forkStats;
+    auto pooled =
+        campaign(RawHostileBenchmark::Mode::Throw, poolCache, poolStats);
+    auto forked =
+        campaign(RawHostileBenchmark::Mode::Exit3, forkCache, forkStats);
+
+    EXPECT_EQ(poolStats.workerRespawns, 0u);
+    EXPECT_GT(forkStats.workerRespawns, 0u);
+    EXPECT_EQ(forkStats.forks, 1 + forkStats.workerRespawns);
+
+    EXPECT_EQ(pooled.search.evaluated, forked.search.evaluated);
+    EXPECT_EQ(pooled.search.cacheHits, forked.search.cacheHits);
+    EXPECT_EQ(pooled.search.compileFailures,
+              forked.search.compileFailures);
+    EXPECT_EQ(pooled.search.quarantined, forked.search.quarantined);
+    EXPECT_EQ(pooled.clusterConfig, forked.clusterConfig);
+    EXPECT_EQ(pooled.search.best, forked.search.best);
+    EXPECT_DOUBLE_EQ(pooled.finalQualityLoss, forked.finalQualityLoss);
+    EXPECT_EQ(cacheSnapshot(poolCache), cacheSnapshot(forkCache));
 }
 
 TEST(PoolTuner, SurvivesMidCampaignWorkerSigkill)
