@@ -756,11 +756,20 @@ searchRunOptions(const TunerOptions& options)
 {
     search::SearchRunOptions run;
     run.resilience = options.resilience;
-    run.checkpointEvery = options.checkpointEvery;
-    run.checkpointSink = options.checkpointSink;
-    run.initialCache = options.initialCache;
     run.searchJobs = options.searchJobs;
     return run;
+}
+
+std::string
+ladderIdentity(const TunerOptions& options)
+{
+    // The default ladder without refinement renders as "f64:f32", the
+    // pre-ladder fingerprint, so pre-ladder memo segments stay
+    // loadable.
+    std::string identity = options.ladder.describe();
+    if (options.refine)
+        identity += "+ir";
+    return identity;
 }
 
 search::MemoFingerprint
@@ -780,12 +789,8 @@ BenchmarkTuner::fingerprint(search::Granularity granularity) const
                    : clusterCount();
     // The ladder decides what a level digit *means*, and refinement
     // changes what an evaluation measures; either difference makes
-    // cached entries incomparable. The default ladder without
-    // refinement renders as "f64:f32" — the historical fingerprint —
-    // so pre-ladder checkpoints and memo segments stay loadable.
-    fp.ladder = options_.ladder.describe();
-    if (options_.refine)
-        fp.ladder += "+ir";
+    // cached entries incomparable.
+    fp.ladder = ladderIdentity(options_);
     return fp;
 }
 
@@ -794,9 +799,8 @@ BenchmarkTuner::runOptionsFor(search::Granularity granularity)
 {
     search::SearchRunOptions run = searchRunOptions(options_);
     run.prior = staticPrior(granularity);
-    run.fingerprint = fingerprint(granularity);
     if (options_.memoStore)
-        run.memo = options_.memoStore->table(run.fingerprint);
+        run.memo = options_.memoStore->table(fingerprint(granularity));
     return run;
 }
 
@@ -865,13 +869,10 @@ BenchmarkTuner::tunePortfolio(
                              search::Granularity::Variable;
         entrant.problem = variableLevel ? &searchVariableProblem()
                                         : &searchClusterProblem();
+        // Entrants of one granularity share one memo table: it
+        // deduplicates them against each other and is what a resumed
+        // portfolio replays.
         entrant.run = runOptionsFor(entrant.strategy->granularity());
-        // Entrants run concurrently, so a shared checkpoint sink would
-        // interleave snapshots from different strategies; in portfolio
-        // mode the memo store is the persistence mechanism.
-        entrant.run.checkpointEvery = 0;
-        entrant.run.checkpointSink = nullptr;
-        entrant.run.initialCache = support::json::Value();
         entrants.push_back(std::move(entrant));
     }
 

@@ -78,15 +78,6 @@ struct TunerOptions {
     /** Fault-injection plan; all-zero rates disable injection. */
     search::FaultPlan faultPlan;
 
-    /** Executions between search-cache snapshots; 0 disables. */
-    std::size_t checkpointEvery = 0;
-
-    /** Receives periodic exportCache() snapshots when set. */
-    search::SearchContext::CheckpointSink checkpointSink;
-
-    /** Non-null: restored into the search context before searching. */
-    support::json::Value initialCache;
-
     /** Worker threads for in-search batch evaluation; 1 = serial. */
     std::size_t searchJobs = 1;
 
@@ -108,7 +99,9 @@ struct TunerOptions {
      * Persistent cross-run memo-cache (harness --memo-cache). When
      * set, every search consults the benchmark-fingerprinted table
      * before executing a configuration and publishes what it ran;
-     * null keeps evaluation purely in-process.
+     * null keeps evaluation purely in-process. It is also the only
+     * resume mechanism: an interrupted search rerun against the same
+     * store replays its finished evaluations as memo hits.
      */
     std::shared_ptr<search::MemoStore> memoStore;
 
@@ -172,9 +165,16 @@ struct SandboxStats {
     }
 };
 
-/** Per-search run options (resilience + checkpoint wiring) derived
- *  from tuner options. */
+/** Per-search run options (resilience + parallelism) derived from
+ *  tuner options. */
 search::SearchRunOptions searchRunOptions(const TunerOptions& options);
+
+/**
+ * What a config level means and what an evaluation measures: the
+ * ladder description, plus "+ir" under refinement. Part of every memo
+ * fingerprint and of the harness's completed-jobs key.
+ */
+std::string ladderIdentity(const TunerOptions& options);
 
 /** Result of a full tuning run with one strategy. */
 struct TuneOutcome {
@@ -272,14 +272,13 @@ class BenchmarkTuner {
      * The evaluation-function fingerprint of this tuner at one search
      * granularity: benchmark name, input signature (hash of the
      * baseline reference output), metric, threshold, site count and
-     * precision ladder. Addresses the memo-cache and stamps
-     * checkpoints.
+     * precision ladder (ladderIdentity). Addresses the memo-cache.
      */
     search::MemoFingerprint
     fingerprint(search::Granularity granularity) const;
 
     /**
-     * Search-run wiring for one granularity: resilience, checkpoint,
+     * Search-run wiring for one granularity: resilience and
      * parallelism (searchRunOptions) plus the static prior and, when
      * a memo store is configured, the fingerprinted memo table.
      */

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -82,12 +83,31 @@ parseEntry(const std::string& benchmarkName,
     return spec;
 }
 
-/** Stable identity of a job inside a checkpoint file. */
+/** The position-and-name key of version-1 checkpoint files. */
 std::string
-jobKey(const JobSpec& spec, std::size_t index)
+legacyJobKey(const JobSpec& spec, std::size_t index)
 {
     return strCat(index, ":", spec.benchmark, "/",
                   support::toLower(spec.analysis));
+}
+
+/**
+ * Identity of a job inside a checkpoint file: its position, every
+ * configuration field that changes its answer (benchmark, analysis,
+ * extra_args, metric, threshold) and the tuner's ladder identity. A
+ * resume after editing any of them re-runs the job instead of
+ * restoring a stale result.
+ */
+std::string
+jobKey(const JobSpec& spec, std::size_t index, const std::string& ladder)
+{
+    std::string key = legacyJobKey(spec, index);
+    for (const auto& [name, value] : spec.extraArgs)
+        key += strCat(",", name, "=", value);
+    char threshold[32];
+    std::snprintf(threshold, sizeof(threshold), "%.17g", spec.threshold);
+    return strCat(key, "|metric=", spec.metric, "|threshold=",
+                  threshold, "|ladder=", ladder);
 }
 
 Value
@@ -172,24 +192,16 @@ analysisResultFromJson(const Value& v)
 }
 
 /**
- * Mutex-protected checkpoint document for one campaign: successfully
- * completed job results plus the latest search-cache snapshot of every
- * in-flight job. Every update atomically rewrites the file (write to a
- * temporary, then rename) so a kill mid-write never corrupts it.
+ * Mutex-protected completed-jobs record of one campaign. Every update
+ * atomically rewrites the file (write to a temporary, then rename) so
+ * a kill mid-write never corrupts it, and a failed write leaves the
+ * previous file in place.
  */
 class CheckpointWriter {
   public:
     explicit CheckpointWriter(std::string path)
         : path_(std::move(path))
     {
-    }
-
-    void
-    updateCache(const std::string& key, Value cache)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        caches_[key] = std::move(cache);
-        flushLocked();
     }
 
     void
@@ -201,7 +213,13 @@ class CheckpointWriter {
         entry.set("analysis", Value::string(job.spec.analysis));
         entry.set("result", analysisResultToJson(job.result));
         completed_[key] = std::move(entry);
-        caches_.erase(key); // the final result supersedes the cache
+        flushLocked();
+    }
+
+    void
+    flush()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
         flushLocked();
     }
 
@@ -210,25 +228,23 @@ class CheckpointWriter {
     flushLocked()
     {
         Value root = Value::object();
-        root.set("version", Value::number(1));
+        root.set("version", Value::number(2));
         Value completed = Value::object();
         for (const auto& [key, entry] : completed_)
             completed.set(key, entry);
         root.set("completed", std::move(completed));
-        Value caches = Value::object();
-        for (const auto& [key, cache] : caches_)
-            caches.set(key, cache);
-        root.set("caches", std::move(caches));
 
         std::string tmp = path_ + ".tmp";
-        {
-            std::ofstream out(tmp);
-            if (!out) {
-                support::warn(strCat("harness: cannot write checkpoint '",
-                                     tmp, "'"));
-                return;
-            }
-            out << root.dump(2) << '\n';
+        std::ofstream out(tmp);
+        out << root.dump(2) << '\n';
+        out.close();
+        // A short write (ENOSPC, EFBIG) must not replace the last good
+        // file with a truncated one that --resume cannot parse.
+        if (!out) {
+            support::warn(strCat("harness: cannot write checkpoint '",
+                                 tmp, "'; keeping '", path_, "'"));
+            std::remove(tmp.c_str());
+            return;
         }
         if (std::rename(tmp.c_str(), path_.c_str()) != 0)
             support::warn(strCat("harness: cannot move checkpoint into '",
@@ -238,13 +254,12 @@ class CheckpointWriter {
     std::string path_;
     std::mutex mutex_;
     std::map<std::string, Value> completed_;
-    std::map<std::string, Value> caches_;
 };
 
-/** Restored state of an interrupted campaign. */
+/** Completed jobs of an interrupted campaign. */
 struct ResumeState {
     std::map<std::string, AnalysisResult> completed;
-    std::map<std::string, Value> caches;
+    bool legacyKeys = false; ///< keyed by legacyJobKey (version 1)
 };
 
 ResumeState
@@ -257,26 +272,43 @@ loadResume(const std::string& path)
     std::ostringstream text;
     text << in.rdbuf();
     Value root = support::json::parse(text.str());
-    if (!root.isObject() || !root.has("completed") ||
-        !root.has("caches"))
+    if (!root.isObject() || !root.has("completed"))
         fatal(strCat("harness: '", path,
                      "' is not a harness checkpoint"));
 
     ResumeState state;
+    state.legacyKeys =
+        !root.has("version") || root.at("version").asLong() < 2;
     const Value& completed = root.at("completed");
     for (const auto& key : completed.keys())
         state.completed[key] =
             analysisResultFromJson(completed.at(key).at("result"));
-    const Value& caches = root.at("caches");
-    for (const auto& key : caches.keys())
-        state.caches[key] = caches.at(key);
+    // Version-1 files also carry per-job search caches; in-flight work
+    // now resumes from the memo store instead.
+    if (root.has("caches") && root.at("caches").isObject() &&
+        !root.at("caches").keys().empty())
+        support::warn(strCat("harness: ignoring the search caches in '",
+                             path, "'; in-flight jobs re-run against "
+                             "the campaign's memo store"));
     return state;
 }
 
+/** Delete the memo segments MemoStore writes into @p dir, and only
+ *  those: a fresh campaign starts its companion store empty. */
+void
+clearMemoSegments(const std::string& dir)
+{
+    std::error_code ec;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir, ec)) {
+        std::string name = entry.path().filename().string();
+        if (name.starts_with("memo-") && name.ends_with(".log"))
+            std::filesystem::remove(entry.path(), ec);
+    }
+}
+
 JobResult
-runJob(const JobSpec& spec, const HarnessOptions& options,
-       Value initialCache,
-       search::SearchContext::CheckpointSink checkpointSink)
+runJob(const JobSpec& spec, const HarnessOptions& options)
 {
     JobResult out;
     out.spec = spec;
@@ -287,12 +319,6 @@ runJob(const JobSpec& spec, const HarnessOptions& options,
         core::TunerOptions tunerOptions = options.tuner;
         tunerOptions.threshold = spec.threshold;
         tunerOptions.metric = spec.metric;
-        tunerOptions.initialCache = std::move(initialCache);
-        tunerOptions.checkpointSink = std::move(checkpointSink);
-        if (!tunerOptions.checkpointSink)
-            tunerOptions.checkpointEvery = 0;
-        else if (tunerOptions.checkpointEvery == 0)
-            tunerOptions.checkpointEvery = options.checkpointEvery;
         auto analysis =
             AnalysisRegistry::instance().create(spec.analysis);
         out.result =
@@ -352,20 +378,36 @@ runJobs(const std::vector<JobSpec>& jobs, const HarnessOptions& opts)
 
     // One store for the whole campaign: jobs sharing a benchmark and
     // threshold share a table, everything else just shares the
-    // directory.
-    if (!options.memoCacheDir.empty())
+    // directory. Without --memo-cache a checkpointed campaign keeps
+    // its store next to the checkpoint file it resumes from (or else
+    // writes): the store is how in-flight jobs resume.
+    std::string memoDir = options.memoCacheDir;
+    if (memoDir.empty() && !options.resumePath.empty()) {
+        memoDir = options.resumePath + ".memo";
+    } else if (memoDir.empty() && !options.checkpointPath.empty()) {
+        memoDir = options.checkpointPath + ".memo";
+        clearMemoSegments(memoDir);
+    }
+    if (!memoDir.empty())
         options.tuner.memoStore =
-            std::make_shared<search::MemoStore>(options.memoCacheDir);
+            std::make_shared<search::MemoStore>(memoDir);
 
     ResumeState resume;
     if (!options.resumePath.empty())
         resume = loadResume(options.resumePath);
 
     std::shared_ptr<CheckpointWriter> writer;
-    if (!options.checkpointPath.empty())
+    if (!options.checkpointPath.empty()) {
         writer = std::make_shared<CheckpointWriter>(
             options.checkpointPath);
+        // Write the (empty) record up front, so a campaign killed
+        // before its first job completes can still be resumed. A file
+        // being resumed keeps its records until the jobs re-record.
+        if (options.checkpointPath != options.resumePath)
+            writer->flush();
+    }
 
+    const std::string ladder = core::ladderIdentity(options.tuner);
     auto runOne = [&](std::size_t i) {
         JobSpec spec = jobs[i];
         // --portfolio swaps the configured analysis for the racing
@@ -375,9 +417,10 @@ runJobs(const std::vector<JobSpec>& jobs, const HarnessOptions& opts)
             spec.analysis = "portfolio";
             spec.extraArgs["mode"] = options.portfolioMode;
         }
-        std::string key = jobKey(spec, i);
+        std::string key = jobKey(spec, i, ladder);
 
-        if (auto it = resume.completed.find(key);
+        if (auto it = resume.completed.find(
+                resume.legacyKeys ? legacyJobKey(spec, i) : key);
             it != resume.completed.end()) {
             results[i].spec = spec;
             results[i].result = it->second;
@@ -389,23 +432,9 @@ runJobs(const std::vector<JobSpec>& jobs, const HarnessOptions& opts)
             return;
         }
 
-        Value initialCache; // null
-        if (auto it = resume.caches.find(key);
-            it != resume.caches.end()) {
-            initialCache = it->second;
-            support::inform(strCat("harness: resuming '", key,
-                                   "' from a partial search cache"));
-        }
-        search::SearchContext::CheckpointSink sink;
-        if (writer)
-            sink = [writer, key](const Value& cache) {
-                writer->updateCache(key, cache);
-            };
-
-        results[i] = runJob(spec, options, std::move(initialCache),
-                            std::move(sink));
+        results[i] = runJob(spec, options);
         // Failed jobs stay out of `completed` so a resumed campaign
-        // retries them (their last cache snapshot is kept).
+        // retries them (against the same memo store).
         if (writer && results[i].error.empty())
             writer->completeJob(key, results[i]);
     };

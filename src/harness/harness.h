@@ -50,27 +50,30 @@ struct HarnessOptions {
     core::TunerOptions tuner;     ///< metric/threshold overridden per job
 
     /**
-     * Checkpoint file the campaign progressively writes: completed
-     * job results plus in-flight search caches. Empty disables
-     * checkpointing.
+     * Checkpoint file the campaign progressively writes: the results
+     * of completed jobs. Unless memoCacheDir is set, the campaign's
+     * memo store is the companion directory `<file>.memo/`, which
+     * holds what in-flight jobs already evaluated; a run without
+     * resumePath starts it empty. Empty disables checkpointing.
      */
     std::string checkpointPath;
 
     /**
      * Checkpoint file a previous (interrupted) campaign wrote.
-     * Completed jobs are restored without re-running; in-flight jobs
-     * resume from their cached evaluations. Empty starts fresh.
+     * Completed jobs whose configuration is unchanged are restored
+     * without re-running; the others rerun against the campaign's
+     * memo store (by default `<file>.memo/`), so what they evaluated
+     * before the interruption comes back as memo hits. Empty starts
+     * fresh.
      */
     std::string resumePath;
-
-    /** Executed configurations between search-cache snapshots. */
-    std::size_t checkpointEvery = 8;
 
     /**
      * Directory of the persistent cross-run memo-cache (--memo-cache).
      * Every job consults the benchmark-fingerprinted table before
      * executing a configuration and publishes what it ran, so a
-     * repeated campaign re-executes nothing. Empty disables it.
+     * repeated campaign re-executes nothing. Empty disables it, or
+     * selects the checkpoint's companion directory (see above).
      */
     std::string memoCacheDir;
 

@@ -74,11 +74,12 @@ main(int argc, char** argv)
                " crashed children (default 0 = unlimited)\n"
                "  --pool-workers  persistent sandbox workers under"
                " --isolation=pool (default 0 = --search-jobs)\n"
-               "  --checkpoint  write campaign progress to this file\n"
-               "  --resume      restore an interrupted campaign from"
-               " this file\n"
+               "  --checkpoint  record completed jobs in F; evaluations go"
+               " to the memo store F.memo/ (emptied first)\n"
+               "  --resume      restore completed jobs from F, rerun the"
+               " rest against its memo store (as memo hits)\n"
                "  --memo-cache  persistent cross-run evaluation cache"
-               " directory\n"
+               " directory (used instead of F.memo/)\n"
                "  --portfolio   race all strategies per benchmark"
                " instead of the configured analysis\n"
                "  --portfolio-mode  best (run all to budget) or race"

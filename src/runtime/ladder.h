@@ -14,9 +14,9 @@
  * narrow/keep bit.
  *
  * The ladder is part of the evaluation-cache identity: its
- * describe() string ("f64:f32:f16") feeds MemoFingerprint, so memo
- * segments and checkpoints recorded under one ladder are recoverably
- * rejected under another (CheckpointMismatch), never misread.
+ * describe() string ("f64:f32:f16") feeds MemoFingerprint, so a memo
+ * segment recorded under one ladder addresses a different table than
+ * any other ladder's: never consulted there, never misread.
  */
 
 #include <cstddef>

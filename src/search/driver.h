@@ -29,21 +29,22 @@ struct SearchResult {
     std::size_t steals = 0;         ///< batch evals run by a stealing worker
     bool timedOut = false;          ///< budget exhausted mid-search
     double searchSeconds = 0.0;
+    /// Committed cache at return, key-sorted (SearchContext::cacheEntries);
+    /// empty for portfolio entrants.
+    std::vector<std::pair<std::string, Evaluation>> cache;
 };
 
 /**
- * Resilience/checkpoint wiring for one search run. Defaults leave
+ * Resilience/persistence wiring for one search run. Defaults leave
  * every knob off, reproducing a plain uninstrumented search.
  */
 struct SearchRunOptions {
     ResiliencePolicy resilience;      ///< retry/deadline/backoff policy
-    std::size_t checkpointEvery = 0;  ///< executions per snapshot; 0 = off
-    SearchContext::CheckpointSink checkpointSink; ///< snapshot receiver
-    support::json::Value initialCache; ///< non-null: importCache() first
     std::size_t searchJobs = 1;       ///< intra-search batch parallelism
     StaticPrior prior;                ///< static sensitivity prior (Off = none)
-    MemoFingerprint fingerprint;      ///< evaluation-function identity
-    std::shared_ptr<MemoTable> memo;  ///< persistent memo-cache table
+    /// Persistent memo-cache table; rerunning an interrupted search
+    /// against the same table resumes it.
+    std::shared_ptr<MemoTable> memo;
     /// Cooperative cancellation (portfolio mode); null = never.
     std::shared_ptr<const std::atomic<bool>> cancel;
 };
@@ -58,7 +59,7 @@ struct SearchRunOptions {
 SearchResult runSearch(SearchProblem& problem, SearchStrategy& strategy,
                        const SearchBudget& budget);
 
-/** As above, with resilience and checkpoint wiring. */
+/** As above, with resilience and persistence wiring. */
 SearchResult runSearch(SearchProblem& problem, SearchStrategy& strategy,
                        const SearchBudget& budget,
                        const SearchRunOptions& run);
@@ -68,7 +69,7 @@ SearchResult runSearch(SearchProblem& problem,
                        const std::string& strategyCode,
                        const SearchBudget& budget);
 
-/** As above, with resilience and checkpoint wiring. */
+/** As above, with resilience and persistence wiring. */
 SearchResult runSearch(SearchProblem& problem,
                        const std::string& strategyCode,
                        const SearchBudget& budget,

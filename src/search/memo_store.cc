@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <limits>
 
 #include "support/logging.h"
 #include "support/string_util.h"
@@ -246,49 +245,6 @@ MemoTable::entries() const
         all.insert(all.end(), shard.map.begin(), shard.map.end());
     }
     return all;
-}
-
-std::size_t
-MemoTable::seedFromCheckpoint(const support::json::Value& checkpoint)
-{
-    if (!checkpoint.isObject() || !checkpoint.has("sites") ||
-        !checkpoint.has("evaluations"))
-        return 0;
-    if (static_cast<std::size_t>(checkpoint.at("sites").asLong()) !=
-        fingerprint_.sites)
-        return 0;
-    if (checkpoint.has("fingerprint")) {
-        auto fp = MemoFingerprint::fromJson(
-            checkpoint.at("fingerprint"));
-        if (!fp || !(*fp == fingerprint_))
-            return 0; // a different evaluation function
-    }
-    std::size_t seeded = 0;
-    for (const auto& entry : checkpoint.at("evaluations").items()) {
-        if (!entry.isObject() || !entry.has("config") ||
-            !entry.has("status"))
-            continue;
-        const std::string& key = entry.at("config").asString();
-        if (key.size() != fingerprint_.sites)
-            continue;
-        auto status = evalStatusFromName(entry.at("status").asString());
-        if (!status)
-            continue;
-        Evaluation eval;
-        eval.status = *status;
-        auto num = [&](const char* name, double fallback) {
-            return entry.has(name) && !entry.at(name).isNull()
-                       ? entry.at(name).asNumber()
-                       : fallback;
-        };
-        eval.runtimeSeconds = num("runtime_seconds", 0.0);
-        eval.speedup = num("speedup", 0.0);
-        eval.qualityLoss = num(
-            "quality_loss", std::numeric_limits<double>::quiet_NaN());
-        if (publish(key, eval))
-            ++seeded;
-    }
-    return seeded;
 }
 
 MemoStore::MemoStore(std::string dir) : dir_(std::move(dir))

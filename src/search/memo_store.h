@@ -120,15 +120,6 @@ class MemoTable {
     /** True when a stale segment (fingerprint change) was discarded. */
     bool invalidated() const { return invalidated_; }
 
-    /**
-     * Migration path: publish every ran evaluation of a
-     * SearchContext::exportCache() checkpoint document. Returns the
-     * number of newly recorded entries; a document whose site count or
-     * embedded fingerprint mismatches publishes nothing.
-     */
-    std::size_t
-    seedFromCheckpoint(const support::json::Value& checkpoint);
-
   private:
     static constexpr std::size_t kShards = 16;
 

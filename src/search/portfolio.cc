@@ -47,6 +47,10 @@ runPortfolio(const std::vector<PortfolioEntrant>& entrants,
         }
         results[i] =
             runSearch(*entrant.problem, *strategy, options.budget, run);
+        // The shared memo table is the portfolio's record of what ran.
+        // Six entrant caches kept alive through the serial candidate
+        // re-measurements shift those timings measurably.
+        results[i].cache = {};
         // A clean finish (not budget- or cancel-cut) with an
         // improvement ends the race; entrants still running stop at
         // their next budget check with best-so-far intact.

@@ -23,15 +23,15 @@
  * A pin is simply cap 0; an Unknown verdict caps at level 1 (float);
  * SafeToNarrow leaves the site unbounded. Strategies never propose a
  * level above a site's cap, and clamped()/violates() enforce caps on
- * configurations arriving from outside (cache imports, resume files).
+ * configurations arriving from outside the strategies.
  *
  * Modes (harness `--static-prior`):
  *  - Off:    no prior; trajectories are bit-identical to a build
  *            without this subsystem.
  *  - On:     prune + seed + order as above.
  *  - Strict: additionally treat any configuration violating a pin as
- *            a compile failure, whatever its origin (cache imports,
- *            hand-written resume files).
+ *            a compile failure, whatever its origin (memo entries
+ *            recorded without the prior included).
  */
 
 #include <cstddef>

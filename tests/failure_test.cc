@@ -9,7 +9,6 @@
  * injection-vs-clean equivalence of all six strategies.
  */
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -453,7 +452,6 @@ TEST(Resilience, BatchParallelMatchesSerialUnderInjection)
  */
 TEST(Resilience, ParallelQuarantineSetMatchesSerial)
 {
-    using hpcmixp::support::json::Value;
     auto quarantineKeys = [&](std::size_t jobs,
                               std::size_t& quarantined) {
         ScriptedProblem inner(false);
@@ -465,16 +463,13 @@ TEST(Resilience, ParallelQuarantineSetMatchesSerial)
         run.resilience.maxAttempts = 2;
         run.resilience.sleepBetweenRetries = false;
         run.searchJobs = jobs;
-        Value cache;
-        run.checkpointSink = [&cache](const Value& v) { cache = v; };
         auto result =
             search::runSearch(faulty, "CB", {100000, 0.0}, run);
         quarantined = result.quarantined;
         std::vector<std::string> keys;
-        for (const auto& e : cache.at("evaluations").items())
-            if (e.at("status").asString() == "runtime_fail")
-                keys.push_back(e.at("config").asString());
-        std::sort(keys.begin(), keys.end());
+        for (const auto& [key, eval] : result.cache)
+            if (eval.status == EvalStatus::RuntimeFail)
+                keys.push_back(key);
         return keys;
     };
     std::size_t serialQuarantined = 0, parallelQuarantined = 0;

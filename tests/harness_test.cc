@@ -4,17 +4,22 @@
  * Listing-4 schema, the analysis plugin registry, and job execution.
  */
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "benchmarks/registry.h"
 #include "harness/harness.h"
-#include "search/context.h"
+#include "search/memo_store.h"
 #include "support/json.h"
 #include "support/logging.h"
 
@@ -273,14 +278,16 @@ scratchFile(const char* name)
     return path;
 }
 
+const char* kTwoSinglePrecisionJobs =
+    "tridiag:\n  threshold: 1e-3\n  analysis:\n    sp:\n"
+    "      name: 'singleprecision'\n"
+    "iccg:\n  threshold: 1e-3\n  analysis:\n    sp:\n"
+    "      name: 'singleprecision'\n";
+
 TEST(HarnessCheckpoint, CampaignCheckpointRestoresCompletedJobs)
 {
-    const char* kTwoJobs =
-        "tridiag:\n  threshold: 1e-3\n  analysis:\n    sp:\n"
-        "      name: 'singleprecision'\n"
-        "iccg:\n  threshold: 1e-3\n  analysis:\n    sp:\n"
-        "      name: 'singleprecision'\n";
-    auto jobs = parseConfig(support::yaml::parse(kTwoJobs));
+    auto jobs =
+        parseConfig(support::yaml::parse(kTwoSinglePrecisionJobs));
     std::string path = scratchFile("hpcmixp_campaign.ckpt.json");
 
     HarnessOptions options;
@@ -301,7 +308,7 @@ TEST(HarnessCheckpoint, CampaignCheckpointRestoresCompletedJobs)
     text << in.rdbuf();
     auto doc = support::json::parse(text.str());
     EXPECT_EQ(doc.at("completed").keys().size(), 2u);
-    EXPECT_EQ(doc.at("caches").keys().size(), 0u);
+    EXPECT_FALSE(doc.has("caches"));
 
     // Resuming re-runs nothing and reproduces the results table.
     HarnessOptions resumeOptions = options;
@@ -315,6 +322,7 @@ TEST(HarnessCheckpoint, CampaignCheckpointRestoresCompletedJobs)
         EXPECT_EQ(second[i].result.configuration,
                   first[i].result.configuration);
     }
+    std::filesystem::remove_all(path + ".memo");
     std::remove(path.c_str());
 }
 
@@ -350,54 +358,249 @@ TEST(HarnessCheckpoint, PartialResumeRunsOnlyUnfinishedJobs)
                      first[0].result.speedup);
     EXPECT_FALSE(second[1].restored);
     EXPECT_TRUE(second[1].error.empty()) << second[1].error;
+    std::filesystem::remove_all(path + ".memo");
     std::remove(path.c_str());
 }
 
-TEST(HarnessCheckpoint, PartialSearchCacheResumesWithCacheHits)
+/** A DD job whose search runs several evaluations (EV 5). */
+const char* kEosDeltaDebug =
+    "eos:\n  threshold: 1e-10\n  analysis:\n    fs:\n"
+    "      name: 'floatsmith'\n      extra_args:\n"
+    "        algorithm: 'ddebug'\n";
+
+HarnessOptions
+quickOptions(std::size_t budget = 1000)
 {
-    // Fabricate the checkpoint of a campaign that was killed while
-    // searching tridiag: no completed jobs, but the search cache
-    // already holds evaluations DD is certain to query again.
-    auto benchmark =
-        benchmarks::BenchmarkRegistry::instance().create("tridiag");
-    core::TunerOptions tunerOptions;
-    tunerOptions.searchReps = 1;
-    tunerOptions.finalReps = 3;
-    tunerOptions.threshold = 1e-3;
-    core::BenchmarkTuner tuner(*benchmark, tunerOptions);
-    search::SearchContext ctx(tuner.searchClusterProblem(),
-                              {1000, 0.0});
-    ctx.evaluate(search::Config(tuner.clusterCount()));
-    ctx.evaluate(search::Config::allLowered(tuner.clusterCount()));
-
-    using support::json::Value;
-    Value root = Value::object();
-    root.set("version", Value::number(1));
-    root.set("completed", Value::object());
-    Value caches = Value::object();
-    caches.set("0:tridiag/floatsmith", ctx.exportCache());
-    root.set("caches", std::move(caches));
-    std::string path = scratchFile("hpcmixp_cache.ckpt.json");
-    {
-        std::ofstream out(path);
-        ASSERT_TRUE(out.good());
-        out << root.dump(2) << '\n';
-    }
-
-    auto jobs = parseConfig(support::yaml::parse(
-        "tridiag:\n  threshold: 1e-3\n  analysis:\n    fs:\n"
-        "      name: 'floatsmith'\n      extra_args:\n"
-        "        algorithm: 'ddebug'\n"));
     HarnessOptions options;
     options.tuner.searchReps = 1;
     options.tuner.finalReps = 3;
-    options.tuner.budget = {1000, 0.0};
+    options.tuner.budget = {budget, 0.0};
+    return options;
+}
+
+TEST(HarnessCheckpoint, PartialSearchCacheResumesWithMemoHits)
+{
+    // The state a campaign killed while searching eos leaves behind:
+    // a checkpoint with no completed jobs — written when the campaign
+    // starts; a job that fails records nothing either, so one stands
+    // in for the kill here — and a companion memo store holding the
+    // first evaluations of its DD search (cut here by budget).
+    std::string path = scratchFile("hpcmixp_cache.ckpt.json");
+    HarnessOptions failing = quickOptions();
+    failing.checkpointPath = path;
+    auto failed = runJobs(
+        parseConfig(support::yaml::parse(
+            "eos:\n  analysis:\n    ga:\n"
+            "      name: 'floatsmith'\n      extra_args:\n"
+            "        algorithm: 'genetic'\n"
+            "        population: '-3'\n")),
+        failing);
+    ASSERT_FALSE(failed[0].error.empty());
+    ASSERT_TRUE(std::filesystem::exists(path));
+    {
+        auto benchmark =
+            benchmarks::BenchmarkRegistry::instance().create("eos");
+        core::TunerOptions tunerOptions = quickOptions(3).tuner;
+        tunerOptions.threshold = 1e-10;
+        tunerOptions.memoStore =
+            std::make_shared<search::MemoStore>(path + ".memo");
+        core::BenchmarkTuner tuner(*benchmark, tunerOptions);
+        auto interrupted = tuner.tune("DD");
+        ASSERT_TRUE(interrupted.search.timedOut);
+        ASSERT_EQ(interrupted.search.evaluated, 3u);
+    }
+
+    auto jobs = parseConfig(support::yaml::parse(kEosDeltaDebug));
+    HarnessOptions options = quickOptions();
     options.resumePath = path;
+    options.checkpointPath = path;
     auto results = runJobs(jobs, options);
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_TRUE(results[0].error.empty()) << results[0].error;
+    ASSERT_TRUE(results[0].error.empty()) << results[0].error;
     EXPECT_FALSE(results[0].restored); // resumed, not restored whole
-    EXPECT_GT(results[0].result.cacheHits, 0u);
+    EXPECT_EQ(results[0].result.memoHits, 3u);
+
+    // Against the same job run uninterrupted, the resumed run split
+    // the EV between memo hits and executions.
+    auto reference = runJobs(jobs, quickOptions());
+    ASSERT_TRUE(reference[0].error.empty()) << reference[0].error;
+    EXPECT_EQ(results[0].result.evaluated + results[0].result.memoHits,
+              reference[0].result.evaluated);
+    EXPECT_EQ(results[0].result.cacheHits,
+              reference[0].result.cacheHits);
+    std::filesystem::remove_all(path + ".memo");
+    std::remove(path.c_str());
+}
+
+TEST(HarnessCheckpoint, ResumeAfterThresholdChangeReRunsTheJob)
+{
+    std::string path = scratchFile("hpcmixp_edited.ckpt.json");
+    HarnessOptions options = quickOptions();
+    options.checkpointPath = path;
+    auto first = runJobs(
+        parseConfig(support::yaml::parse(kTwoSinglePrecisionJobs)),
+        options);
+    for (const auto& r : first)
+        ASSERT_TRUE(r.error.empty()) << r.error;
+
+    // tridiag's threshold was edited between the runs: its recorded
+    // result answers another question and must not be restored.
+    auto edited = parseConfig(support::yaml::parse(
+        "tridiag:\n  threshold: 1e-4\n  analysis:\n    sp:\n"
+        "      name: 'singleprecision'\n"
+        "iccg:\n  threshold: 1e-3\n  analysis:\n    sp:\n"
+        "      name: 'singleprecision'\n"));
+    HarnessOptions resumeOptions = options;
+    resumeOptions.resumePath = path;
+    auto second = runJobs(edited, resumeOptions);
+    ASSERT_EQ(second.size(), 2u);
+    EXPECT_FALSE(second[0].restored);
+    EXPECT_TRUE(second[0].error.empty()) << second[0].error;
+    EXPECT_TRUE(second[1].restored);
+    std::filesystem::remove_all(path + ".memo");
+    std::remove(path.c_str());
+}
+
+TEST(HarnessCheckpoint, FailedWriteKeepsThePreviousFile)
+{
+    auto jobs =
+        parseConfig(support::yaml::parse(kTwoSinglePrecisionJobs));
+    std::string path = scratchFile("hpcmixp_efbig.ckpt.json");
+    HarnessOptions options = quickOptions();
+    options.checkpointPath = path;
+    for (const auto& r : runJobs(jobs, options))
+        ASSERT_TRUE(r.error.empty()) << r.error;
+    const auto goodSize = std::filesystem::file_size(path);
+    HarnessOptions resumeOptions = options;
+    resumeOptions.resumePath = path;
+
+    // A resumed campaign rewrites the file as it restores each job.
+    // With the file-size limit far below one record, every rewrite
+    // fails (EFBIG) and must leave the previous file alone.
+    pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        int code = 2;
+        try {
+            ::signal(SIGXFSZ, SIG_IGN);
+            struct rlimit limit = {64, 64};
+            if (::setrlimit(RLIMIT_FSIZE, &limit) == 0) {
+                auto results = runJobs(jobs, resumeOptions);
+                code = results.size() == 2 && results[0].restored &&
+                               results[1].restored
+                           ? 0
+                           : 1;
+            }
+        } catch (...) {
+        }
+        ::_exit(code);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_EQ(std::filesystem::file_size(path), goodSize);
+    EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+    auto restored = runJobs(jobs, resumeOptions);
+    ASSERT_EQ(restored.size(), 2u);
+    EXPECT_TRUE(restored[0].restored);
+    EXPECT_TRUE(restored[1].restored);
+    std::filesystem::remove_all(path + ".memo");
+    std::remove(path.c_str());
+}
+
+TEST(HarnessCheckpoint, CheckpointedCampaignCountsMatchPlainRun)
+{
+    // No two jobs share a memo table (YAML keys are benchmark names),
+    // so an uninterrupted campaign with a checkpoint counts exactly
+    // what a plain run counts. DD's trajectory depends only on
+    // pass/fail, so these counts are deterministic.
+    auto jobs = parseConfig(support::yaml::parse(
+        std::string(kEosDeltaDebug) +
+        "tridiag:\n  threshold: 1e-13\n  analysis:\n    fs:\n"
+        "      name: 'floatsmith'\n      extra_args:\n"
+        "        algorithm: 'ddebug'\n"));
+    auto reference = runJobs(jobs, quickOptions(100));
+
+    std::string path = scratchFile("hpcmixp_counts.ckpt.json");
+    std::string companion = path + ".memo";
+    HarnessOptions options = quickOptions(100);
+    options.checkpointPath = path;
+    auto first = runJobs(jobs, options);
+    // A run without --resume starts the companion store empty again,
+    // deleting only the segments it writes.
+    {
+        std::ofstream note(companion + "/notes.txt");
+        note << "not a memo segment\n";
+    }
+    auto again = runJobs(jobs, options);
+    ASSERT_EQ(first.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        ASSERT_TRUE(reference[i].error.empty()) << reference[i].error;
+        for (const auto* run : {&first[i], &again[i]}) {
+            ASSERT_TRUE(run->error.empty()) << run->error;
+            EXPECT_EQ(run->result.evaluated,
+                      reference[i].result.evaluated);
+            EXPECT_EQ(run->result.cacheHits,
+                      reference[i].result.cacheHits);
+            EXPECT_EQ(run->result.memoHits, 0u);
+        }
+    }
+    EXPECT_TRUE(std::filesystem::exists(companion + "/notes.txt"));
+    std::filesystem::remove_all(companion);
+    std::remove(path.c_str());
+}
+
+TEST(HarnessCheckpoint, LegacyCheckpointRestoresCompletedJobs)
+{
+    // Produce one completed-job record, then restate it the way
+    // version-1 files did: keyed by position and name, next to the
+    // search cache of a job that was still in flight.
+    std::string path = scratchFile("hpcmixp_legacy.ckpt.json");
+    HarnessOptions options = quickOptions();
+    options.checkpointPath = path;
+    auto jobs =
+        parseConfig(support::yaml::parse(kTwoSinglePrecisionJobs));
+    auto first = runJobs({jobs[0]}, options);
+    ASSERT_TRUE(first[0].error.empty()) << first[0].error;
+
+    using support::json::Value;
+    Value current;
+    {
+        std::ifstream in(path);
+        std::ostringstream text;
+        text << in.rdbuf();
+        current = support::json::parse(text.str());
+    }
+    const Value& completed = current.at("completed");
+    ASSERT_EQ(completed.keys().size(), 1u);
+    Value legacy = Value::object();
+    legacy.set("version", Value::number(1));
+    Value legacyCompleted = Value::object();
+    legacyCompleted.set("0:tridiag/singleprecision",
+                        completed.at(completed.keys().front()));
+    legacy.set("completed", std::move(legacyCompleted));
+    Value cache = Value::object();
+    cache.set("sites", Value::number(1));
+    cache.set("evaluations", Value::array());
+    Value caches = Value::object();
+    caches.set("1:iccg/singleprecision", std::move(cache));
+    legacy.set("caches", std::move(caches));
+    {
+        std::ofstream out(path);
+        out << legacy.dump(2) << '\n';
+    }
+
+    HarnessOptions resumeOptions = options;
+    resumeOptions.resumePath = path;
+    auto second = runJobs(jobs, resumeOptions);
+    ASSERT_EQ(second.size(), 2u);
+    EXPECT_TRUE(second[0].restored);
+    EXPECT_DOUBLE_EQ(second[0].result.speedup, first[0].result.speedup);
+    EXPECT_FALSE(second[1].restored);
+    EXPECT_TRUE(second[1].error.empty()) << second[1].error;
+    std::filesystem::remove_all(path + ".memo");
     std::remove(path.c_str());
 }
 

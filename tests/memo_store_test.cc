@@ -2,8 +2,10 @@
  * @file
  * Tests for the persistent cross-run evaluation memo-cache: crash-safe
  * append-log recovery, fingerprint addressing and invalidation,
- * concurrent publish/lookup, and the warm-rerun guarantee (a repeated
- * search re-executes nothing and commits the same trajectory).
+ * concurrent publish/lookup, the warm-rerun guarantee (a repeated
+ * search re-executes nothing and commits the same trajectory) and
+ * resume: an interrupted search rerun against its memo segment
+ * replays its finished work as memo hits.
  */
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -22,6 +25,7 @@
 
 #include "search/combinational.h"
 #include "search/driver.h"
+#include "search/fault.h"
 #include "search/memo_store.h"
 #include "support/json.h"
 #include "support/logging.h"
@@ -31,7 +35,6 @@ namespace {
 
 using namespace hpcmixp::search;
 using hpcmixp::support::AppendLog;
-using hpcmixp::support::FatalError;
 using hpcmixp::support::fnv1a64;
 using hpcmixp::support::json::Value;
 
@@ -108,15 +111,29 @@ passEval(double speedup)
     return eval;
 }
 
-/** Order-independent view of an exportCache() snapshot. */
+/** A committed cache (key-sorted) as comparable text: every field
+ *  bit-exact, NaN losses included. */
 std::vector<std::string>
-canonicalCache(const Value& cache)
+canonicalCache(const std::vector<std::pair<std::string, Evaluation>>& cache)
 {
-    std::vector<std::string> dumps;
-    for (const auto& e : cache.at("evaluations").items())
-        dumps.push_back(e.dump());
-    std::sort(dumps.begin(), dumps.end());
-    return dumps;
+    std::vector<std::string> lines;
+    for (const auto& [key, eval] : cache) {
+        char fields[128];
+        std::snprintf(fields, sizeof(fields), " %s %a %a %a",
+                      evalStatusName(eval.status), eval.runtimeSeconds,
+                      eval.speedup, eval.qualityLoss);
+        lines.push_back(key + fields);
+    }
+    return lines;
+}
+
+/** Whole-file contents, for byte-level segment comparisons. */
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
 }
 
 // --- AppendLog -------------------------------------------------------
@@ -369,6 +386,33 @@ TEST(MemoTable, KillMidAppendRecoversDurablePrefix)
     EXPECT_TRUE(recovered.publish("0100", passEval(1.3)));
     MemoTable reopened(path, fp);
     EXPECT_EQ(reopened.size(), 3u);
+
+    // A kill can land at any byte of the last real record: cut it at
+    // every offset from its first byte up to (not including) its
+    // newline. Each reopen keeps exactly the durable prefix and
+    // accepts a fresh publish of the lost entry.
+    const std::string whole = slurp(path);
+    ASSERT_EQ(whole.back(), '\n');
+    const std::size_t recordStart =
+        whole.rfind('\n', whole.size() - 2) + 1;
+    for (std::size_t cut = recordStart; cut < whole.size(); ++cut) {
+        {
+            std::ofstream out(path, std::ios::trunc | std::ios::binary);
+            out << whole;
+        }
+        std::filesystem::resize_file(path, cut);
+        MemoTable torn(path, fp);
+        EXPECT_EQ(torn.truncatedBytes(), cut - recordStart) << cut;
+        EXPECT_EQ(std::filesystem::file_size(path), recordStart) << cut;
+        EXPECT_EQ(torn.size(), 2u) << cut;
+        EXPECT_TRUE(torn.lookup("0001").has_value()) << cut;
+        EXPECT_TRUE(torn.lookup("0010").has_value()) << cut;
+        EXPECT_FALSE(torn.lookup("0100").has_value()) << cut;
+        EXPECT_TRUE(torn.publish("0100", passEval(1.3))) << cut;
+        MemoTable healed(path, fp);
+        EXPECT_EQ(healed.truncatedBytes(), 0u) << cut;
+        EXPECT_EQ(healed.size(), 3u) << cut;
+    }
 }
 
 TEST(MemoTable, ConcurrentPublishAndLookupAreSafe)
@@ -431,7 +475,6 @@ TEST(MemoSearch, WarmRerunExecutesNothing)
     // Cold run: everything executes, everything is published.
     CountingProblem cold(4);
     SearchRunOptions run;
-    run.fingerprint = fp;
     run.memo = std::make_shared<MemoTable>(path, fp);
     auto coldResult = runSearch(cold, cb, {100, 0.0}, run);
     EXPECT_EQ(coldResult.evaluated, 15u);
@@ -442,7 +485,6 @@ TEST(MemoSearch, WarmRerunExecutesNothing)
     // disk. Zero executions, all memo hits, identical answer.
     CountingProblem warm(4);
     SearchRunOptions rerun;
-    rerun.fingerprint = fp;
     rerun.memo = std::make_shared<MemoTable>(path, fp);
     auto warmResult = runSearch(warm, cb, {100, 0.0}, rerun);
     EXPECT_EQ(warmResult.evaluated, 0u);
@@ -462,22 +504,20 @@ TEST(MemoSearch, WarmCacheDoesNotChangeCommittedTrajectory)
     MemoFingerprint fp = testFingerprint(4);
     CombinationalSearch cb;
 
-    auto exportRun = [&](std::shared_ptr<MemoTable> memo,
-                         CountingProblem& problem) {
+    auto committedCache = [&](std::shared_ptr<MemoTable> memo,
+                              CountingProblem& problem) {
         SearchContext ctx(problem, {100, 0.0});
-        ctx.setFingerprint(fp);
-        if (memo)
-            ctx.setMemo(memo);
+        ctx.setMemo(memo);
         cb.run(ctx);
-        return ctx.exportCache();
+        return ctx.cacheEntries();
     };
 
     CountingProblem cold(4);
-    Value coldCache =
-        exportRun(std::make_shared<MemoTable>(path, fp), cold);
+    auto coldCache =
+        committedCache(std::make_shared<MemoTable>(path, fp), cold);
     CountingProblem warm(4);
-    Value warmCache =
-        exportRun(std::make_shared<MemoTable>(path, fp), warm);
+    auto warmCache =
+        committedCache(std::make_shared<MemoTable>(path, fp), warm);
     EXPECT_EQ(warm.rawCalls_.load(), 0);
     EXPECT_EQ(canonicalCache(warmCache), canonicalCache(coldCache));
 }
@@ -494,7 +534,6 @@ TEST(MemoSearch, BatchEvaluationMixesMemoHitsAndFreshWork)
 
     CountingProblem problem(4);
     SearchContext ctx(problem, {100, 0.0});
-    ctx.setFingerprint(fp);
     ctx.setMemo(memo);
     ctx.setSearchJobs(4);
     std::vector<Config> batch = {
@@ -513,103 +552,183 @@ TEST(MemoSearch, BatchEvaluationMixesMemoHitsAndFreshWork)
     EXPECT_EQ(memo->size(), 4u);
 }
 
-TEST(MemoSearch, SeedFromCheckpointMigratesOldCampaigns)
+// --- Resume through the memo store (--checkpoint / --resume) --------
+
+TEST(Checkpoint, ResumedSearchDoesNotReExecute)
 {
-    CountingProblem problem(4);
-    SearchContext ctx(problem, {100, 0.0});
-    ctx.evaluate(Config::withLowered(4, {1}));
-    ctx.evaluate(Config::withLowered(4, {1, 2}));
-    Value checkpoint = ctx.exportCache();
-
-    std::string path = freshPath("memo_seed.log");
+    // Phase 1: CB truncated after 5 executions; each one is durable in
+    // the memo segment the moment it commits.
+    std::string path = freshPath("resume_cb.log");
     MemoFingerprint fp = testFingerprint(4);
-    MemoTable table(path, fp);
-    EXPECT_EQ(table.seedFromCheckpoint(checkpoint), 2u);
-    EXPECT_EQ(table.size(), 2u);
-    // Re-seeding is idempotent.
-    EXPECT_EQ(table.seedFromCheckpoint(checkpoint), 0u);
-
-    // A checkpoint of a different problem shape publishes nothing.
-    CountingProblem other(6);
-    SearchContext otherCtx(other, {100, 0.0});
-    otherCtx.evaluate(Config::withLowered(6, {0, 5}));
-    EXPECT_EQ(table.seedFromCheckpoint(otherCtx.exportCache()), 0u);
-}
-
-TEST(MemoSearch, ImportCacheFeedsAttachedMemo)
-{
     CountingProblem problem(4);
-    SearchContext source(problem, {100, 0.0});
-    source.evaluate(Config::withLowered(4, {2}));
-    Value checkpoint = source.exportCache();
-
-    std::string path = freshPath("memo_import.log");
-    MemoFingerprint fp = testFingerprint(4);
-    auto memo = std::make_shared<MemoTable>(path, fp);
-    SearchContext restored(problem, {100, 0.0});
-    restored.setFingerprint(fp);
-    restored.setMemo(memo);
-    restored.importCache(checkpoint);
-    EXPECT_EQ(memo->size(), 1u);
-}
-
-// --- checkpoint fingerprint validation ------------------------------
-
-TEST(MemoCheckpoint, MismatchedFingerprintIsRecoverablyRejected)
-{
-    CountingProblem problem(4);
-    MemoFingerprint fp = testFingerprint(4);
-
-    SearchContext source(problem, {100, 0.0});
-    source.setFingerprint(fp);
-    source.evaluate(Config::withLowered(4, {1}));
-    Value checkpoint = source.exportCache();
-    ASSERT_TRUE(checkpoint.has("fingerprint"));
-
-    // Same shape, different threshold: rejected *recoverably*, before
-    // anything lands in the cache.
-    MemoFingerprint other = fp;
-    other.threshold = 1e-2;
-    SearchContext target(problem, {100, 0.0});
-    target.setFingerprint(other);
-    EXPECT_THROW(target.importCache(checkpoint), CheckpointMismatch);
-    EXPECT_FALSE(target.isCached(Config::withLowered(4, {1})));
-
-    // Matching fingerprints import normally.
-    SearchContext match(problem, {100, 0.0});
-    match.setFingerprint(fp);
-    match.importCache(checkpoint);
-    EXPECT_TRUE(match.isCached(Config::withLowered(4, {1})));
-
-    // A site-count mismatch is still the fatal shape error.
-    CountingProblem narrow(2);
-    SearchContext shaped(narrow, {100, 0.0});
-    shaped.setFingerprint(testFingerprint(2));
-    EXPECT_THROW(shaped.importCache(checkpoint), FatalError);
-}
-
-TEST(MemoCheckpoint, RunSearchIgnoresStaleFingerprintCheckpoint)
-{
-    CountingProblem problem(4);
-    MemoFingerprint fp = testFingerprint(4);
-    SearchContext source(problem, {100, 0.0});
-    source.setFingerprint(fp);
-    source.evaluate(Config::withLowered(4, {1}));
-    Value checkpoint = source.exportCache();
-
-    // The driver treats the stale checkpoint like a missing one: the
-    // search starts fresh instead of dying.
-    MemoFingerprint other = fp;
-    other.benchmark = "renamed";
     CombinationalSearch cb;
     SearchRunOptions run;
-    run.fingerprint = other;
-    run.initialCache = checkpoint;
+    run.memo = std::make_shared<MemoTable>(path, fp);
+    auto truncated = runSearch(problem, cb, {5, 0.0}, run);
+    EXPECT_TRUE(truncated.timedOut);
+    EXPECT_EQ(truncated.evaluated, 5u);
+    int executedSoFar = problem.rawCalls_;
+
+    // Phase 2: a "new process" reopens the segment and reruns with a
+    // fresh budget. Only the remaining 15 - 5 configs execute; the
+    // first five come back as memo hits.
+    SearchRunOptions rerun;
+    rerun.memo = std::make_shared<MemoTable>(path, fp);
+    auto resumed = runSearch(problem, cb, {100, 0.0}, rerun);
+    EXPECT_FALSE(resumed.timedOut);
+    EXPECT_EQ(resumed.evaluated, 10u);
+    EXPECT_EQ(resumed.memoHits, 5u);
+    EXPECT_EQ(problem.rawCalls_, executedSoFar + 10);
+
+    // Same final answer and cache as a never-interrupted search.
     CountingProblem fresh(4);
-    auto result = runSearch(fresh, cb, {100, 0.0}, run);
+    auto oneShot = runSearch(fresh, cb, {100, 0.0});
+    EXPECT_EQ(resumed.best, oneShot.best);
+    EXPECT_DOUBLE_EQ(resumed.bestEvaluation.speedup,
+                     oneShot.bestEvaluation.speedup);
+    EXPECT_EQ(canonicalCache(resumed.cache),
+              canonicalCache(oneShot.cache));
+}
+
+TEST(Checkpoint, RestoredBestSurvivesResume)
+{
+    std::string path = freshPath("resume_best.log");
+    MemoFingerprint fp = testFingerprint(4);
+    CountingProblem problem(4);
+    Config best = Config::withLowered(4, {1, 2, 3});
+    {
+        SearchContext first(problem, {100, 0.0});
+        first.setMemo(std::make_shared<MemoTable>(path, fp));
+        first.evaluate(best);
+    }
+
+    // The memo hit competes for best-so-far like an execution would.
+    SearchContext second(problem, {100, 0.0});
+    second.setMemo(std::make_shared<MemoTable>(path, fp));
+    second.evaluate(best);
+    ASSERT_TRUE(second.hasBest());
+    EXPECT_EQ(second.bestConfig(), best);
+    EXPECT_DOUBLE_EQ(second.bestEvaluation().speedup, 1.3);
+    EXPECT_EQ(second.evaluatedCount(), 0u);
+    EXPECT_EQ(second.memoHitCount(), 1u);
+}
+
+TEST(Checkpoint, ValidatesSiteCountAndShape)
+{
+    // A segment serves only its own fingerprint: a wider problem over
+    // the same file sets the stale entries aside.
+    std::string path = freshPath("resume_shape.log");
+    {
+        MemoTable narrow(path, testFingerprint(3));
+        narrow.publish("010", passEval(1.1));
+    }
+    MemoTable wider(path, testFingerprint(5));
+    EXPECT_TRUE(wider.invalidated());
+    EXPECT_EQ(wider.size(), 0u);
+
+    // A file that is not a memo segment at all is discarded, not
+    // fatal: the search starts fresh.
+    std::string junk = freshPath("resume_junk.log");
+    {
+        std::ofstream out(junk);
+        out << "[\"not\", \"a\", \"segment\"]\n";
+    }
+    auto memo = std::make_shared<MemoTable>(junk, testFingerprint(4));
+    EXPECT_TRUE(memo->invalidated());
+    CountingProblem problem(4);
+    CombinationalSearch cb;
+    SearchRunOptions run;
+    run.memo = memo;
+    auto result = runSearch(problem, cb, {100, 0.0}, run);
     EXPECT_FALSE(result.timedOut);
     EXPECT_EQ(result.evaluated, 15u);
-    EXPECT_EQ(result.cacheHits, 0u);
+    EXPECT_EQ(result.memoHits, 0u);
+}
+
+TEST(Checkpoint, NaNQualityLossSurvivesSerialization)
+{
+    /** Problem whose lowered config destroys the output. */
+    class NaNProblem : public SearchProblem {
+      public:
+        std::size_t siteCount() const override { return 1; }
+        Evaluation
+        evaluate(const Config&) override
+        {
+            Evaluation eval;
+            eval.status = EvalStatus::QualityFail;
+            eval.qualityLoss =
+                std::numeric_limits<double>::quiet_NaN();
+            eval.speedup = 1.2;
+            return eval;
+        }
+    };
+    NaNProblem problem;
+    std::string path = freshPath("resume_nan.log");
+    MemoFingerprint fp = testFingerprint(1);
+    {
+        SearchContext ctx(problem, {100, 0.0});
+        ctx.setMemo(std::make_shared<MemoTable>(path, fp));
+        ctx.evaluate(Config::allLowered(1));
+    }
+
+    SearchContext restored(problem, {100, 0.0});
+    restored.setMemo(std::make_shared<MemoTable>(path, fp));
+    const auto& eval = restored.evaluate(Config::allLowered(1));
+    EXPECT_EQ(eval.status, EvalStatus::QualityFail);
+    EXPECT_TRUE(std::isnan(eval.qualityLoss));
+    EXPECT_EQ(restored.evaluatedCount(), 0u);
+    EXPECT_EQ(restored.memoHitCount(), 1u);
+}
+
+/**
+ * Results commit — and publish — in submission order, so a faulty
+ * parallel campaign writes a segment byte-identical to the serial
+ * one's: every prefix a kill can leave behind is one the serial run
+ * could have left. Its committed cache, quarantined runtime_fail
+ * entries included, matches the serial one, and a rerun over the
+ * segment replays all of it without executing anything.
+ */
+TEST(Checkpoint, FaultyParallelCheckpointRoundTripsIdentically)
+{
+    MemoFingerprint fp = testFingerprint(4);
+    CombinationalSearch cb;
+    auto campaign = [&](std::size_t jobs, const std::string& path) {
+        CountingProblem inner(4);
+        FaultPlan plan;
+        plan.crashRate = 0.5;
+        plan.seed = 17;
+        FaultyProblem faulty(inner, plan);
+        SearchRunOptions run;
+        run.resilience.maxAttempts = 2;
+        run.resilience.sleepBetweenRetries = false;
+        run.searchJobs = jobs;
+        run.memo = std::make_shared<MemoTable>(path, fp);
+        return runSearch(faulty, cb, {1000, 0.0}, run);
+    };
+    std::string serialPath = freshPath("resume_faulty_serial.log");
+    std::string parallelPath = freshPath("resume_faulty_parallel.log");
+    auto serial = campaign(1, serialPath);
+    auto parallel = campaign(4, parallelPath);
+    EXPECT_EQ(canonicalCache(parallel.cache),
+              canonicalCache(serial.cache));
+    EXPECT_EQ(slurp(parallelPath), slurp(serialPath));
+
+    // The stress run did quarantine something, so the equalities
+    // above cover failure entries, not just clean ones.
+    std::size_t runtimeFails = 0;
+    for (const auto& [key, eval] : parallel.cache)
+        if (eval.status == EvalStatus::RuntimeFail)
+            ++runtimeFails;
+    EXPECT_GT(runtimeFails, 0u);
+
+    CountingProblem replay(4);
+    SearchRunOptions run;
+    run.memo = std::make_shared<MemoTable>(parallelPath, fp);
+    auto replayed = runSearch(replay, cb, {1000, 0.0}, run);
+    EXPECT_EQ(replay.rawCalls_.load(), 0);
+    EXPECT_EQ(replayed.evaluated, 0u);
+    EXPECT_EQ(canonicalCache(replayed.cache),
+              canonicalCache(parallel.cache));
 }
 
 // --- MemoStore -------------------------------------------------------

@@ -7,11 +7,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <functional>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -114,19 +121,24 @@ bigBudget()
     return {1000000, 0.0};
 }
 
-/** Order-independent view of an exportCache() snapshot: every entry's
- *  dump, sorted by config key (the map dump order is unspecified). */
+/** Canonical view of a committed cache (key-sorted, as
+ *  SearchContext::cacheEntries() returns it): one JSON dump per entry,
+ *  in the field layout the golden pins below were captured with. */
 std::vector<std::string>
-canonicalCache(const hpcmixp::support::json::Value& cache)
+canonicalCache(const std::vector<std::pair<std::string, Evaluation>>& cache)
 {
-    std::vector<std::pair<std::string, std::string>> entries;
-    for (const auto& e : cache.at("evaluations").items())
-        entries.emplace_back(e.at("config").asString(), e.dump());
-    std::sort(entries.begin(), entries.end());
+    using hpcmixp::support::json::Value;
     std::vector<std::string> dumps;
-    dumps.reserve(entries.size());
-    for (auto& [key, dump] : entries)
-        dumps.push_back(std::move(dump));
+    dumps.reserve(cache.size());
+    for (const auto& [key, eval] : cache) {
+        Value e = Value::object();
+        e.set("config", Value::string(key));
+        e.set("status", Value::string(evalStatusName(eval.status)));
+        e.set("runtime_seconds", Value::number(eval.runtimeSeconds));
+        e.set("speedup", Value::number(eval.speedup));
+        e.set("quality_loss", Value::number(eval.qualityLoss));
+        dumps.push_back(e.dump());
+    }
     return dumps;
 }
 
@@ -240,20 +252,15 @@ TEST_P(SearchProperty, CacheNeverReExecutes)
  */
 TEST_P(SearchProperty, ParallelBatchesMatchSerialTrajectory)
 {
-    using hpcmixp::support::json::Value;
     for (const char* code : {"CB", "CM", "DD", "HR", "HC", "GA"}) {
-        auto runWith = [&](std::size_t jobs, Value& cache) {
+        auto runWith = [&](std::size_t jobs) {
             StructuredRandomProblem problem(7, GetParam());
             SearchRunOptions run;
             run.searchJobs = jobs;
-            run.checkpointSink = [&cache](const Value& v) {
-                cache = v;
-            };
             return runSearch(problem, code, bigBudget(), run);
         };
-        Value serialCache, parallelCache;
-        auto serial = runWith(1, serialCache);
-        auto parallel = runWith(4, parallelCache);
+        auto serial = runWith(1);
+        auto parallel = runWith(4);
 
         EXPECT_EQ(parallel.foundImprovement, serial.foundImprovement)
             << code;
@@ -265,8 +272,8 @@ TEST_P(SearchProperty, ParallelBatchesMatchSerialTrajectory)
         EXPECT_EQ(parallel.cacheHits, serial.cacheHits) << code;
         EXPECT_EQ(parallel.compileFailures, serial.compileFailures)
             << code;
-        EXPECT_EQ(canonicalCache(parallelCache),
-                  canonicalCache(serialCache))
+        EXPECT_EQ(canonicalCache(parallel.cache),
+                  canonicalCache(serial.cache))
             << code;
     }
 }
@@ -326,7 +333,7 @@ TEST_P(SearchProperty, StealSchedulingMatchesFifoBitIdentically)
             batch.push_back(cfg);
         }
         evals = ctx.evaluateBatch(batch);
-        return canonicalCache(ctx.exportCache());
+        return canonicalCache(ctx.cacheEntries());
     };
 
     std::vector<Evaluation> stealEvals, fifoEvals;
@@ -402,28 +409,151 @@ TEST(StealScheduling, ThievesDrainALoadedWorker)
  */
 TEST_P(SearchProperty, ParallelBudgetTruncationMatchesSerial)
 {
-    using hpcmixp::support::json::Value;
     for (const char* code : {"CB", "GA"}) {
         for (std::size_t cap : {3u, 7u}) {
-            auto runWith = [&](std::size_t jobs, Value& cache) {
+            auto runWith = [&](std::size_t jobs) {
                 StructuredRandomProblem problem(7, GetParam());
                 SearchRunOptions run;
                 run.searchJobs = jobs;
-                run.checkpointSink = [&cache](const Value& v) {
-                    cache = v;
-                };
                 return runSearch(problem, code,
                                  SearchBudget{cap, 0.0}, run);
             };
-            Value serialCache, parallelCache;
-            auto serial = runWith(1, serialCache);
-            auto parallel = runWith(4, parallelCache);
+            auto serial = runWith(1);
+            auto parallel = runWith(4);
             EXPECT_EQ(parallel.timedOut, serial.timedOut) << code;
             EXPECT_EQ(parallel.evaluated, serial.evaluated) << code;
             EXPECT_EQ(parallel.best, serial.best) << code;
-            EXPECT_EQ(canonicalCache(parallelCache),
-                      canonicalCache(serialCache))
+            EXPECT_EQ(canonicalCache(parallel.cache),
+                      canonicalCache(serial.cache))
                 << code << " cap=" << cap;
+        }
+    }
+}
+
+/** StructuredRandomProblem that SIGKILLs its own process on the
+ *  (k+1)-th execution: the kill lands mid-search, after exactly k
+ *  results were committed and published. Serial searches only. */
+class KillAfterProblem : public StructuredRandomProblem {
+  public:
+    KillAfterProblem(std::size_t sites, std::uint64_t seed,
+                     std::size_t k)
+        : StructuredRandomProblem(sites, seed), remaining_(k)
+    {
+    }
+
+    Evaluation
+    evaluate(const Config& config) override
+    {
+        if (remaining_ == 0)
+            ::raise(SIGKILL);
+        --remaining_;
+        return StructuredRandomProblem::evaluate(config);
+    }
+
+  private:
+    std::size_t remaining_;
+};
+
+/**
+ * Resume is "rerun against the same memo table". For every strategy,
+ * a campaign cut after a seed-drawn k < EV executions — by its budget,
+ * or by SIGKILL in a forked child — and rerun with the reopened table
+ * and a full budget reaches the uninterrupted run's winner and
+ * committed cache. Serially the EV split is exact as well: the k
+ * durable records come back as memo hits and only the rest executes.
+ */
+TEST_P(SearchProperty, MemoResumeMatchesUninterruptedRun)
+{
+    enum class Cut { Budget, Sigkill };
+    struct Variant {
+        Cut cut;
+        std::size_t jobs;
+    };
+    const std::uint64_t seed = GetParam();
+    const char* const codes[] = {"CB", "CM", "DD", "HR", "HC", "GA"};
+    for (std::size_t c = 0; c < std::size(codes); ++c) {
+        const char* code = codes[c];
+        StructuredRandomProblem reference(7, seed);
+        auto full = runSearch(reference, code, bigBudget());
+        ASSERT_GT(full.evaluated, 0u) << code;
+        Pcg32 rng(seed, /*stream=*/c);
+        const std::size_t k = rng.nextBounded(
+            static_cast<std::uint32_t>(full.evaluated));
+
+        MemoFingerprint fp;
+        fp.benchmark = "structured-random";
+        fp.sites = 7;
+        std::size_t variant = 0;
+        for (Variant v : {Variant{Cut::Budget, 1}, Variant{Cut::Sigkill, 1},
+                          Variant{Cut::Budget, 4}}) {
+            std::string where = std::string(code) + " k=" +
+                                std::to_string(k) + " variant " +
+                                std::to_string(variant);
+            std::string path = ::testing::TempDir() + "memo_resume_" +
+                               code + "_" + std::to_string(seed) + "_" +
+                               std::to_string(variant++) + ".log";
+            std::remove(path.c_str());
+            if (v.cut == Cut::Budget) {
+                StructuredRandomProblem problem(7, seed);
+                SearchRunOptions run;
+                run.searchJobs = v.jobs;
+                run.memo = std::make_shared<MemoTable>(path, fp);
+                auto cut = runSearch(problem, code, SearchBudget{k, 0.0},
+                                     run);
+                EXPECT_TRUE(cut.timedOut) << where;
+                EXPECT_EQ(cut.evaluated, k) << where;
+            } else {
+                pid_t pid = ::fork();
+                ASSERT_GE(pid, 0);
+                if (pid == 0) {
+                    KillAfterProblem problem(7, seed, k);
+                    SearchRunOptions run;
+                    run.memo = std::make_shared<MemoTable>(path, fp);
+                    runSearch(problem, code, bigBudget(), run);
+                    ::_exit(0); // not reached: k < EV
+                }
+                int status = 0;
+                ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+                ASSERT_TRUE(WIFSIGNALED(status) &&
+                            WTERMSIG(status) == SIGKILL)
+                    << where;
+            }
+
+            auto memo = std::make_shared<MemoTable>(path, fp);
+            const std::size_t durable = memo->size();
+            StructuredRandomProblem problem(7, seed);
+            SearchRunOptions run;
+            run.searchJobs = v.jobs;
+            run.memo = memo;
+            auto resumed = runSearch(problem, code, bigBudget(), run);
+            EXPECT_FALSE(resumed.timedOut) << where;
+            EXPECT_EQ(resumed.foundImprovement, full.foundImprovement)
+                << where;
+            EXPECT_EQ(resumed.best, full.best) << where;
+            EXPECT_EQ(resumed.bestEvaluation.status,
+                      full.bestEvaluation.status)
+                << where;
+            EXPECT_EQ(resumed.bestEvaluation.speedup,
+                      full.bestEvaluation.speedup)
+                << where;
+            EXPECT_EQ(resumed.bestEvaluation.runtimeSeconds,
+                      full.bestEvaluation.runtimeSeconds)
+                << where;
+            EXPECT_EQ(resumed.bestEvaluation.qualityLoss,
+                      full.bestEvaluation.qualityLoss)
+                << where;
+            EXPECT_EQ(canonicalCache(resumed.cache),
+                      canonicalCache(full.cache))
+                << where;
+            if (v.jobs == 1) {
+                EXPECT_EQ(durable, k) << where;
+                EXPECT_EQ(resumed.memoHits, durable) << where;
+                EXPECT_EQ(resumed.evaluated + resumed.memoHits,
+                          full.evaluated)
+                    << where;
+                EXPECT_EQ(resumed.cacheHits, full.cacheHits) << where;
+            }
+            std::remove(path.c_str());
         }
     }
 }
@@ -465,7 +595,7 @@ struct TrajectoryPin {
 
 /**
  * Golden hashes captured at the last pre-ladder commit: FNV-1a over
- * (trajectory keys, winner, canonical exported cache) for every
+ * (trajectory keys, winner, canonical committed cache) for every
  * strategy run serially on StructuredRandomProblem(7, seed) with an
  * unbounded budget. The multi-rung generalization must keep a
  * default two-rung campaign bit-identical to these — any drift means
@@ -537,19 +667,15 @@ constexpr TrajectoryPin kPreLadderPins[] = {
 /**
  * The headline pin of the precision-ladder generalization: with the
  * default two-rung ladder (maxLevel()==1), every strategy's full
- * trajectory, winner, and exported evaluation cache must be
+ * trajectory, winner, and committed evaluation cache must be
  * bit-identical to the pre-ladder implementation, per seed.
  */
 TEST_P(SearchProperty, DefaultLadderMatchesPreLadderTrajectoryGolden)
 {
-    using hpcmixp::support::json::Value;
     const std::uint64_t seed = GetParam();
     for (const char* code : {"CB", "CM", "DD", "HR", "HC", "GA"}) {
         TrajectoryProblem problem(7, seed);
-        Value cache;
-        SearchRunOptions run;
-        run.checkpointSink = [&cache](const Value& v) { cache = v; };
-        auto result = runSearch(problem, code, bigBudget(), run);
+        auto result = runSearch(problem, code, bigBudget());
 
         std::string blob;
         for (const auto& key : problem.trajectory) {
@@ -560,7 +686,7 @@ TEST_P(SearchProperty, DefaultLadderMatchesPreLadderTrajectoryGolden)
         blob += result.foundImprovement ? result.best.toString()
                                         : std::string("-");
         blob += "|cache=";
-        for (const auto& dump : canonicalCache(cache)) {
+        for (const auto& dump : canonicalCache(result.cache)) {
             blob += dump;
             blob += ';';
         }
@@ -731,7 +857,6 @@ TEST_P(SearchProperty, ThreeRungWinnersAlwaysPass)
  */
 TEST_P(SearchProperty, ThreeRungPriorCapsAreNeverExceeded)
 {
-    using hpcmixp::support::json::Value;
     const std::size_t sites = 6;
     std::vector<std::uint8_t> caps(sites);
     for (std::size_t i = 0; i < sites; ++i)
@@ -742,19 +867,15 @@ TEST_P(SearchProperty, ThreeRungPriorCapsAreNeverExceeded)
 
     for (const char* code : {"CB", "CM", "DD", "HR", "HC"}) {
         StructuredLadderProblem problem(sites, 2, GetParam());
-        Value cache;
         SearchRunOptions run;
         run.prior = prior;
-        run.checkpointSink = [&cache](const Value& v) { cache = v; };
         auto result = runSearch(problem, code, bigBudget(), run);
         for (std::size_t i = 0; i < sites; ++i)
             EXPECT_LE(result.best.level(i), caps[i])
                 << code << " site " << i;
-        for (const auto& e : cache.at("evaluations").items()) {
-            Config cfg =
-                Config::fromString(e.at("config").asString());
-            EXPECT_FALSE(prior.violates(cfg))
-                << code << " cached " << cfg.toString();
+        for (const auto& [key, eval] : result.cache) {
+            EXPECT_FALSE(prior.violates(Config::fromString(key)))
+                << code << " cached " << key;
         }
     }
 }

@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for iterative-refinement recovery (--refine) and the ladder
- * compatibility of checkpoints: a half-precision configuration that
+ * compatibility of resume state: a half-precision configuration that
  * fails the quality gate unrefined must pass with refinement on, a
  * diverging refinement must surface as RuntimeFail (never a hang),
- * and a two-tier checkpoint must be recoverably rejected by a
+ * and a two-tier campaign's memo segment must never be consulted by a
  * three-rung campaign.
  */
 
 #include <cmath>
+#include <filesystem>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/tuner.h"
 #include "runtime/ladder.h"
 #include "search/context.h"
+#include "search/memo_store.h"
 #include "support/logging.h"
 
 namespace {
@@ -201,45 +203,54 @@ TEST(Refine, FingerprintCarriesLadderAndRefinementMarker)
 }
 
 /**
- * A checkpoint written by a two-tier campaign presented to a
- * three-rung campaign of the same benchmark must be rejected with
- * the *recoverable* CheckpointMismatch (the driver then restarts the
- * search from scratch), never imported and never a crash.
+ * The resume state of a two-tier campaign (its memo segment) presented
+ * to a three-rung campaign of the same benchmark must be set aside,
+ * never consulted and never a crash: the ladder is part of the
+ * fingerprint, so the three-rung run addresses its own segment and
+ * executes afresh, while a two-tier rerun still resumes from it.
  */
 TEST(Refine, TwoTierCheckpointIsRecoverablyRejectedByThreeRung)
 {
+    std::string dir = ::testing::TempDir() + "refine_ladder_memo";
+    std::filesystem::remove_all(dir);
+    const auto cluster = search::Granularity::Cluster;
+
     auto sourceBench = make("tridiag");
     BenchmarkTuner source(*sourceBench,
                           ladderOptions("double,float", false));
-    search::SearchContext sourceCtx(source.searchClusterProblem(),
-                                    {100, 0.0});
-    sourceCtx.setFingerprint(
-        source.fingerprint(search::Granularity::Cluster));
-    sourceCtx.evaluate(
-        Config::withLowered(source.clusterCount(), {0}));
-    auto checkpoint = sourceCtx.exportCache();
-    ASSERT_TRUE(checkpoint.has("fingerprint"));
+    Config lowered = Config::withLowered(source.clusterCount(), {0});
+    {
+        search::MemoStore store(dir);
+        search::SearchContext ctx(source.searchClusterProblem(),
+                                  {100, 0.0});
+        ctx.setMemo(store.table(source.fingerprint(cluster)));
+        ctx.evaluate(lowered);
+        ASSERT_EQ(ctx.evaluatedCount(), 1u);
+    }
 
     auto targetBench = make("tridiag");
     BenchmarkTuner target(*targetBench,
                           ladderOptions("double,float,half", false));
+    ASSERT_EQ(target.clusterCount(), source.clusterCount());
+    search::MemoStore store(dir);
+    auto targetTable = store.table(target.fingerprint(cluster));
+    EXPECT_FALSE(targetTable->lookup(lowered.toString()).has_value());
     search::SearchContext targetCtx(target.searchClusterProblem(),
                                     {100, 0.0});
-    targetCtx.setFingerprint(
-        target.fingerprint(search::Granularity::Cluster));
-    EXPECT_THROW(targetCtx.importCache(checkpoint),
-                 search::CheckpointMismatch);
-    EXPECT_FALSE(targetCtx.isCached(
-        Config::withLowered(target.clusterCount(), {0})));
+    targetCtx.setMemo(targetTable);
+    targetCtx.evaluate(lowered);
+    EXPECT_EQ(targetCtx.memoHitCount(), 0u);
+    EXPECT_EQ(targetCtx.evaluatedCount(), 1u);
 
-    // The same checkpoint is still welcome in a two-tier context.
+    // The two-tier segment survived the three-rung run and still
+    // resumes a two-tier context.
     search::SearchContext backCtx(source.searchClusterProblem(),
                                   {100, 0.0});
-    backCtx.setFingerprint(
-        source.fingerprint(search::Granularity::Cluster));
-    backCtx.importCache(checkpoint);
-    EXPECT_TRUE(backCtx.isCached(
-        Config::withLowered(source.clusterCount(), {0})));
+    backCtx.setMemo(store.table(source.fingerprint(cluster)));
+    backCtx.evaluate(lowered);
+    EXPECT_EQ(backCtx.memoHitCount(), 1u);
+    EXPECT_EQ(backCtx.evaluatedCount(), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

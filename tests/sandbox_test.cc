@@ -349,19 +349,18 @@ openFdCount()
     return n;
 }
 
-/** Shared scratch for trajectory comparisons: the per-config cache
- *  snapshot reduced to its timing-independent fields. */
+/** Shared scratch for trajectory comparisons: the committed cache
+ *  reduced to its timing-independent fields. */
 std::set<std::string>
-cacheSnapshot(const support::json::Value& cache)
+cacheSnapshot(
+    const std::vector<std::pair<std::string, search::Evaluation>>& cache)
 {
     std::set<std::string> entries;
-    for (const auto& e : cache.at("evaluations").items()) {
-        double loss = e.at("quality_loss").isNull()
-                          ? -1.0
-                          : e.at("quality_loss").asNumber();
-        entries.insert(support::strCat(e.at("config").asString(), "|",
-                                       e.at("status").asString(), "|",
-                                       loss));
+    for (const auto& [key, eval] : cache) {
+        double loss =
+            std::isnan(eval.qualityLoss) ? -1.0 : eval.qualityLoss;
+        entries.insert(support::strCat(
+            key, "|", search::evalStatusName(eval.status), "|", loss));
     }
     return entries;
 }
@@ -473,23 +472,17 @@ TEST(SandboxTuner, ForkAndInProcessAreTrajectoryIdentical)
     // Batch-parallel twin of PoolTuner.PoolAndInProcessAreTrajectory-
     // Identical: each batch is spread over four forked workers, and
     // the campaign still matches four in-process evaluation threads.
-    auto campaign = [](IsolationMode isolation,
-                       support::json::Value& cache) {
+    auto campaign = [](IsolationMode isolation) {
         RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
         core::TunerOptions opt = sandboxOptions();
         opt.isolation = isolation;
         opt.searchJobs = 4;
-        opt.checkpointEvery = 1;
-        opt.checkpointSink = [&cache](const support::json::Value& v) {
-            cache = v;
-        };
         core::BenchmarkTuner tuner(bench, opt);
         return tuner.tune("DD");
     };
 
-    support::json::Value forkCache, inprocCache;
-    auto forked = campaign(IsolationMode::Pool, forkCache);
-    auto inproc = campaign(IsolationMode::None, inprocCache);
+    auto forked = campaign(IsolationMode::Pool);
+    auto inproc = campaign(IsolationMode::None);
 
     EXPECT_EQ(forked.search.evaluated, inproc.search.evaluated);
     EXPECT_EQ(forked.search.cacheHits, inproc.search.cacheHits);
@@ -498,7 +491,8 @@ TEST(SandboxTuner, ForkAndInProcessAreTrajectoryIdentical)
     EXPECT_EQ(forked.clusterConfig, inproc.clusterConfig);
     EXPECT_EQ(forked.search.best, inproc.search.best);
     EXPECT_DOUBLE_EQ(forked.finalQualityLoss, inproc.finalQualityLoss);
-    EXPECT_EQ(cacheSnapshot(forkCache), cacheSnapshot(inprocCache));
+    EXPECT_EQ(cacheSnapshot(forked.search.cache),
+              cacheSnapshot(inproc.search.cache));
 }
 
 // ---- WorkerPool --------------------------------------------------------
@@ -790,22 +784,16 @@ TEST(PoolTuner, TwoHundredEvalsLeakNoFdsOrZombies)
 
 TEST(PoolTuner, PoolAndInProcessAreTrajectoryIdentical)
 {
-    auto campaign = [](IsolationMode isolation,
-                       support::json::Value& cache) {
+    auto campaign = [](IsolationMode isolation) {
         RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
         core::TunerOptions opt = sandboxOptions();
         opt.isolation = isolation;
-        opt.checkpointEvery = 1;
-        opt.checkpointSink = [&cache](const support::json::Value& v) {
-            cache = v;
-        };
         core::BenchmarkTuner tuner(bench, opt);
         return tuner.tune("DD");
     };
 
-    support::json::Value poolCache, inprocCache;
-    auto pooled = campaign(IsolationMode::Pool, poolCache);
-    auto inproc = campaign(IsolationMode::None, inprocCache);
+    auto pooled = campaign(IsolationMode::Pool);
+    auto inproc = campaign(IsolationMode::None);
 
     // Same EV, same winner, same cache contents (configs, statuses,
     // quality losses — bit-identical arithmetic either side of the
@@ -818,7 +806,8 @@ TEST(PoolTuner, PoolAndInProcessAreTrajectoryIdentical)
     EXPECT_EQ(pooled.clusterConfig, inproc.clusterConfig);
     EXPECT_EQ(pooled.search.best, inproc.search.best);
     EXPECT_DOUBLE_EQ(pooled.finalQualityLoss, inproc.finalQualityLoss);
-    EXPECT_EQ(cacheSnapshot(poolCache), cacheSnapshot(inprocCache));
+    EXPECT_EQ(cacheSnapshot(pooled.search.cache),
+              cacheSnapshot(inproc.search.cache));
 
     // And the sandbox really ran: the evaluation was served cleanly by
     // a worker. (No assertion on dispatch overhead magnitude — CI
@@ -837,26 +826,17 @@ TEST(PoolTuner, PoolAndForkAreTrajectoryIdentical)
     // re-forked worker. Both are the same RuntimeFail to the search,
     // and the re-forks must not perturb the trajectory.
     auto campaign = [](RawHostileBenchmark::Mode mode,
-                       support::json::Value& cache,
                        core::SandboxStats& stats) {
         RawHostileBenchmark bench(mode);
-        core::TunerOptions opt = sandboxOptions();
-        opt.checkpointEvery = 1;
-        opt.checkpointSink = [&cache](const support::json::Value& v) {
-            cache = v;
-        };
-        core::BenchmarkTuner tuner(bench, opt);
+        core::BenchmarkTuner tuner(bench, sandboxOptions());
         auto outcome = tuner.tune("DD");
         stats = tuner.sandboxStats();
         return outcome;
     };
 
-    support::json::Value poolCache, forkCache;
     core::SandboxStats poolStats, forkStats;
-    auto pooled =
-        campaign(RawHostileBenchmark::Mode::Throw, poolCache, poolStats);
-    auto forked =
-        campaign(RawHostileBenchmark::Mode::Exit3, forkCache, forkStats);
+    auto pooled = campaign(RawHostileBenchmark::Mode::Throw, poolStats);
+    auto forked = campaign(RawHostileBenchmark::Mode::Exit3, forkStats);
 
     EXPECT_EQ(poolStats.workerRespawns, 0u);
     EXPECT_GT(forkStats.workerRespawns, 0u);
@@ -870,7 +850,8 @@ TEST(PoolTuner, PoolAndForkAreTrajectoryIdentical)
     EXPECT_EQ(pooled.clusterConfig, forked.clusterConfig);
     EXPECT_EQ(pooled.search.best, forked.search.best);
     EXPECT_DOUBLE_EQ(pooled.finalQualityLoss, forked.finalQualityLoss);
-    EXPECT_EQ(cacheSnapshot(poolCache), cacheSnapshot(forkCache));
+    EXPECT_EQ(cacheSnapshot(pooled.search.cache),
+              cacheSnapshot(forked.search.cache));
 }
 
 TEST(PoolTuner, SurvivesMidCampaignWorkerSigkill)
