@@ -1,6 +1,6 @@
 /**
  * @file
- * Measurement: worker-pool spawn amortization and work stealing
+ * Measurement: worker-pool spawn amortization and batch load balance
  * (DESIGN.md §15).
  *
  * Part 1 — sandbox cost. For each benchmark, runs the same
@@ -12,29 +12,29 @@
  * execute the same configuration set (CB's exploration order is
  * fixed) and the wall difference is the sandbox machinery.
  *
- * Part 2 — work stealing. Pushes a deliberately uneven-latency
- * synthetic batch through SearchContext::evaluateBatch under the
- * stealing scheduler and the non-stealing FIFO scheduler (static
- * round-robin dealing) at 4 worker threads, and compares batch
- * throughput. Per-item latency blocks (sleeps) rather than spins,
+ * Part 2 — load balance. Pushes deliberately uneven-latency synthetic
+ * batches through SearchContext::evaluateBatch at 8 worker threads
+ * and compares the wall time with the ideal schedule: per batch,
+ * max(sum of item latencies / jobs, longest item), summed over the
+ * batches. Per-item latency blocks (sleeps) rather than spins,
  * mirroring the sandboxed reality this pool exists for — the parent
  * thread waits on a child pidfd — so the comparison holds on any
- * core count. The headline check: with skewed per-item latencies,
- * stealing reaches at least 1.3x FIFO throughput (idle workers raid
- * a loaded sibling's deque instead of sleeping while the unluckiest
- * worker convoys through its dealt long jobs).
+ * core count. An efficiency (ideal / measured) near 1 says idle
+ * workers never sit out while the queue still holds work.
  *
  * Extra flag beyond the common set:
  *   --json F   write the full result document to F
  *              (default BENCH_worker_pool.json)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -60,11 +60,26 @@ struct PoolRun {
 };
 
 /**
- * Synthetic uneven-latency problem for the stealing comparison: each
- * evaluation blocks for a seeded, config-determined interval — the
- * shape of a sandboxed evaluation, where the searcher thread sleeps
- * on the child's pidfd — while the reported values stay pure
- * functions of the configuration.
+ * Seeded, config-determined latency of one skewed evaluation. Spread
+ * over ~2 decades: most configs are cheap, ~15% are ~70x the median —
+ * the shape that convoys a statically partitioned pool behind its
+ * unluckiest worker.
+ */
+std::uint32_t
+skewedMicros(const search::Config& config)
+{
+    support::Pcg32 rng(std::hash<std::string>{}(config.toString()));
+    std::uint32_t micros = 100 + rng.nextBounded(200);
+    if (rng.chance(0.15))
+        micros *= 70;
+    return micros;
+}
+
+/**
+ * Synthetic uneven-latency problem for the load-balance measurement:
+ * each evaluation blocks for skewedMicros — the shape of a sandboxed
+ * evaluation, where the searcher thread sleeps on the child's pidfd —
+ * while the reported values stay pure functions of the configuration.
  */
 class SkewedProblem final : public search::SearchProblem {
   public:
@@ -75,15 +90,8 @@ class SkewedProblem final : public search::SearchProblem {
     search::Evaluation
     evaluate(const search::Config& config) override
     {
-        support::Pcg32 rng(
-            std::hash<std::string>{}(config.toString()));
-        // Latencies spread over ~2 decades: most configs are cheap,
-        // ~15% are ~70x the median — the shape that convoys a
-        // non-stealing pool behind its unluckiest worker.
-        std::uint32_t micros = 100 + rng.nextBounded(200);
-        if (rng.chance(0.15))
-            micros *= 70;
-        std::this_thread::sleep_for(std::chrono::microseconds(micros));
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(skewedMicros(config)));
 
         search::Evaluation eval;
         eval.speedup =
@@ -98,36 +106,46 @@ class SkewedProblem final : public search::SearchProblem {
     std::size_t sites_;
 };
 
+/** Wall seconds of @p rounds skewed batches at @p jobs workers, and
+ *  in @p idealSeconds the ideal schedule's (file comment). */
 double
-stealBatchSeconds(search::SearchContext::BatchScheduling mode,
-                  std::size_t jobs, std::size_t batchItems,
-                  std::size_t rounds, std::size_t& steals)
+skewedBatchSeconds(std::size_t jobs, std::size_t batchItems,
+                   std::size_t rounds, double& idealSeconds)
 {
     SkewedProblem problem(16);
     search::SearchContext ctx(problem, {1000000000, 0.0},
                               search::ResiliencePolicy{});
     ctx.setSearchJobs(jobs);
-    ctx.setBatchScheduling(mode);
 
-    // Distinct configurations per round (evaluateBatch caches), all
-    // derived from a fixed seed so both modes see identical batches.
+    // Configurations from a fixed seed, so every run sees identical
+    // batches. A configuration repeated within the batches is a cache
+    // hit and costs no latency.
     support::Pcg32 rng(20200908);
-    support::WallTimer timer;
-    for (std::size_t r = 0; r < rounds; ++r) {
-        std::vector<search::Config> batch;
-        batch.reserve(batchItems);
+    std::vector<std::vector<search::Config>> batches(rounds);
+    std::unordered_set<std::string> seen;
+    idealSeconds = 0.0;
+    for (auto& batch : batches) {
+        double sum = 0.0, longest = 0.0;
         for (std::size_t i = 0; i < batchItems; ++i) {
             search::Config cfg(16);
             for (std::size_t s = 0; s < 16; ++s)
                 if (rng.chance(0.5))
                     cfg.set(s);
+            if (seen.insert(cfg.toString()).second) {
+                double latency = skewedMicros(cfg) * 1e-6;
+                sum += latency;
+                longest = std::max(longest, latency);
+            }
             batch.push_back(cfg);
         }
-        (void)ctx.evaluateBatch(batch);
+        idealSeconds +=
+            std::max(sum / static_cast<double>(jobs), longest);
     }
-    double seconds = timer.seconds();
-    steals = ctx.stealCount();
-    return seconds;
+
+    support::WallTimer timer;
+    for (const auto& batch : batches)
+        (void)ctx.evaluateBatch(batch);
+    return timer.seconds();
 }
 
 } // namespace
@@ -199,35 +217,25 @@ main(int argc, char** argv)
               << options.tuner.searchReps << ")\n";
     benchutil::emit(table, options);
 
-    // ---- Part 2: stealing vs FIFO on an uneven-latency batch --------
+    // ---- Part 2: load balance on uneven-latency batches ------------
 
     const std::size_t jobs = 8;
     std::size_t batchItems = 64;
     std::size_t rounds = support::quickMode() ? 8 : 16;
 
-    std::size_t fifoSteals = 0, stealSteals = 0;
-    double fifoSeconds = stealBatchSeconds(
-        search::SearchContext::BatchScheduling::Fifo, jobs, batchItems,
-        rounds, fifoSteals);
-    double stealSeconds = stealBatchSeconds(
-        search::SearchContext::BatchScheduling::Steal, jobs, batchItems,
-        rounds, stealSteals);
-    double throughputRatio =
-        stealSeconds > 0.0 ? fifoSeconds / stealSeconds : 0.0;
+    double idealSeconds = 0.0;
+    double batchSeconds =
+        skewedBatchSeconds(jobs, batchItems, rounds, idealSeconds);
+    double efficiency =
+        batchSeconds > 0.0 ? idealSeconds / batchSeconds : 0.0;
 
-    support::Table stealTable(
-        {"scheduler", "batch s", "steals", "vs FIFO"});
-    stealTable.addRow({"fifo", support::Table::cell(fifoSeconds, 4),
-                       support::Table::cell(
-                           static_cast<long>(fifoSteals)),
-                       "1.00"});
-    stealTable.addRow({"steal", support::Table::cell(stealSeconds, 4),
-                       support::Table::cell(
-                           static_cast<long>(stealSteals)),
-                       support::Table::cell(throughputRatio, 2)});
-    std::cout << "\nStealing vs FIFO, " << rounds << " x " << batchItems
+    support::Table balanceTable({"batch s", "ideal s", "efficiency"});
+    balanceTable.addRow({support::Table::cell(batchSeconds, 4),
+                         support::Table::cell(idealSeconds, 4),
+                         support::Table::cell(efficiency, 2)});
+    std::cout << "\nLoad balance, " << rounds << " x " << batchItems
               << "-config skewed batches at " << jobs << " jobs\n";
-    benchutil::emit(stealTable, options);
+    benchutil::emit(balanceTable, options);
 
     // ---- JSON -------------------------------------------------------
 
@@ -256,16 +264,15 @@ main(int argc, char** argv)
     }
     doc.set("kernels", std::move(rows));
 
-    Value steal = Value::object();
-    steal.set("jobs", Value::number(static_cast<double>(jobs)));
-    steal.set("rounds", Value::number(static_cast<double>(rounds)));
-    steal.set("batch_items",
-              Value::number(static_cast<double>(batchItems)));
-    steal.set("fifo_seconds", Value::number(fifoSeconds));
-    steal.set("steal_seconds", Value::number(stealSeconds));
-    steal.set("steals", Value::number(static_cast<double>(stealSteals)));
-    steal.set("throughput_ratio", Value::number(throughputRatio));
-    doc.set("stealing", std::move(steal));
+    Value balance = Value::object();
+    balance.set("jobs", Value::number(static_cast<double>(jobs)));
+    balance.set("rounds", Value::number(static_cast<double>(rounds)));
+    balance.set("batch_items",
+                Value::number(static_cast<double>(batchItems)));
+    balance.set("batch_seconds", Value::number(batchSeconds));
+    balance.set("ideal_seconds", Value::number(idealSeconds));
+    balance.set("efficiency", Value::number(efficiency));
+    doc.set("load_balance", std::move(balance));
 
     std::ofstream out(jsonPath);
     if (!out)

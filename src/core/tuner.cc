@@ -751,14 +751,29 @@ BenchmarkTuner::searchVariableProblem()
     return *variableProblem_;
 }
 
-search::SearchRunOptions
-searchRunOptions(const TunerOptions& options)
+search::GaOptions
+gaOptions(const TunerOptions& options)
 {
-    search::SearchRunOptions run;
-    run.resilience = options.resilience;
-    run.searchJobs = options.searchJobs;
-    return run;
+    search::GaOptions ga;
+    ga.seed = options.seed;
+    return ga;
 }
+
+namespace {
+
+/** The strategy a campaign runs for @p code: the registry's, except
+ *  that the GA follows the campaign seed (gaOptions). */
+std::unique_ptr<search::SearchStrategy>
+makeStrategy(const std::string& code, const TunerOptions& options)
+{
+    auto strategy = search::StrategyRegistry::instance().create(code);
+    if (strategy->code() == "GA")
+        strategy =
+            std::make_unique<search::GeneticSearch>(gaOptions(options));
+    return strategy;
+}
+
+} // namespace
 
 std::string
 ladderIdentity(const TunerOptions& options)
@@ -797,7 +812,9 @@ BenchmarkTuner::fingerprint(search::Granularity granularity) const
 search::SearchRunOptions
 BenchmarkTuner::runOptionsFor(search::Granularity granularity)
 {
-    search::SearchRunOptions run = searchRunOptions(options_);
+    search::SearchRunOptions run;
+    run.resilience = options_.resilience;
+    run.searchJobs = options_.searchJobs;
     run.prior = staticPrior(granularity);
     if (options_.memoStore)
         run.memo = options_.memoStore->table(fingerprint(granularity));
@@ -807,8 +824,7 @@ BenchmarkTuner::runOptionsFor(search::Granularity granularity)
 TuneOutcome
 BenchmarkTuner::tune(const std::string& strategyCode)
 {
-    auto strategy =
-        search::StrategyRegistry::instance().create(strategyCode);
+    auto strategy = makeStrategy(strategyCode, options_);
     return tune(*strategy);
 }
 
@@ -854,17 +870,7 @@ BenchmarkTuner::tunePortfolio(
     for (const std::string& code : codes) {
         search::PortfolioEntrant entrant;
         entrant.code = code;
-        if (code == "GA") {
-            // The registry default GA carries the paper's fixed seed;
-            // follow the campaign seed like FloatsmithAnalysis does.
-            search::GaOptions gaOptions;
-            gaOptions.seed = options_.seed;
-            entrant.strategy =
-                std::make_shared<search::GeneticSearch>(gaOptions);
-        } else {
-            entrant.strategy =
-                search::StrategyRegistry::instance().create(code);
-        }
+        entrant.strategy = makeStrategy(code, options_);
         bool variableLevel = entrant.strategy->granularity() ==
                              search::Granularity::Variable;
         entrant.problem = variableLevel ? &searchVariableProblem()

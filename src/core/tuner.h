@@ -27,6 +27,7 @@
 #include "runtime/ladder.h"
 #include "search/driver.h"
 #include "search/fault.h"
+#include "search/genetic.h"
 #include "search/memo_store.h"
 #include "search/portfolio.h"
 #include "search/problem.h"
@@ -165,9 +166,9 @@ struct SandboxStats {
     }
 };
 
-/** Per-search run options (resilience + parallelism) derived from
- *  tuner options. */
-search::SearchRunOptions searchRunOptions(const TunerOptions& options);
+/** A campaign's GA parameters: the paper defaults, seeded from
+ *  TunerOptions::seed. */
+search::GaOptions gaOptions(const TunerOptions& options);
 
 /**
  * What a config level means and what an evaluation measures: the
@@ -278,9 +279,9 @@ class BenchmarkTuner {
     fingerprint(search::Granularity granularity) const;
 
     /**
-     * Search-run wiring for one granularity: resilience and
-     * parallelism (searchRunOptions) plus the static prior and, when
-     * a memo store is configured, the fingerprinted memo table.
+     * Search-run wiring for one granularity: the tuner's resilience
+     * policy and search jobs, the static prior and, when a memo store
+     * is configured, the fingerprinted memo table.
      */
     search::SearchRunOptions
     runOptionsFor(search::Granularity granularity);

@@ -59,7 +59,6 @@ fillSearchCounters(AnalysisResult& result,
     result.retries = searchResult.retries;
     result.deadlineMisses = searchResult.deadlineMisses;
     result.quarantined = searchResult.quarantined;
-    result.steals = searchResult.steals;
     result.timedOut = searchResult.timedOut;
 }
 
@@ -93,17 +92,13 @@ FloatsmithAnalysis::analyze(const benchmarks::Benchmark& benchmark,
     core::TuneOutcome outcome;
     if (code == "GA") {
         // The GA's knobs are tunable from the configuration file,
-        // like CRAFT's strategy options; its seed follows the
-        // campaign seed unless the configuration pins one.
-        search::GaOptions gaOptions;
-        gaOptions.population =
-            sizeArg(args, "population", gaOptions.population);
-        gaOptions.generations =
-            sizeArg(args, "generations", gaOptions.generations);
-        gaOptions.seed = sizeArg(
-            args, "seed", static_cast<std::size_t>(options.seed));
-        search::GeneticSearch ga(gaOptions);
-        outcome = tuner.tune(ga);
+        // like CRAFT's strategy options.
+        search::GaOptions ga = core::gaOptions(options);
+        ga.population = sizeArg(args, "population", ga.population);
+        ga.generations = sizeArg(args, "generations", ga.generations);
+        ga.seed = sizeArg(args, "seed", static_cast<std::size_t>(ga.seed));
+        search::GeneticSearch strategy(ga);
+        outcome = tuner.tune(strategy);
     } else {
         outcome = tuner.tune(code);
     }
@@ -145,9 +140,13 @@ PrecimoniousAnalysis::analyze(const benchmarks::Benchmark& benchmark,
 {
     core::BenchmarkTuner tuner(benchmark, options);
     search::DeltaDebugSearch dd;
-    search::SearchResult searchResult =
-        search::runSearch(tuner.searchVariableProblem(), dd,
-                          options.budget, core::searchRunOptions(options));
+    // Through the tuner's memo table like every other job, but without
+    // the static prior: Precimonious is cluster-blind.
+    search::SearchRunOptions run =
+        tuner.runOptionsFor(search::Granularity::Variable);
+    run.prior = {};
+    search::SearchResult searchResult = search::runSearch(
+        tuner.searchVariableProblem(), dd, options.budget, run);
 
     AnalysisResult result;
     result.analysis = name();

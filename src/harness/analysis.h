@@ -43,7 +43,6 @@ struct AnalysisResult {
     std::size_t retries = 0;     ///< transient-failure re-attempts
     std::size_t deadlineMisses = 0; ///< attempts discarded as stragglers
     std::size_t quarantined = 0; ///< configs failed after retries
-    std::size_t steals = 0;      ///< batch evals run by a stealing worker
     bool timedOut = false;
     std::string configuration;   ///< winning cluster config bits
 

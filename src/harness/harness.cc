@@ -130,7 +130,6 @@ analysisResultToJson(const AnalysisResult& r)
           Value::number(static_cast<double>(r.deadlineMisses)));
     v.set("quarantined",
           Value::number(static_cast<double>(r.quarantined)));
-    v.set("steals", Value::number(static_cast<double>(r.steals)));
     v.set("timed_out", Value::boolean(r.timedOut));
     v.set("configuration", Value::string(r.configuration));
     v.set("child_forks",
@@ -172,8 +171,6 @@ analysisResultFromJson(const Value& v)
     r.retries = count("retries");
     r.deadlineMisses = count("deadline_misses");
     r.quarantined = count("quarantined");
-    // Absent in pre-stealing checkpoints; defaults to zero.
-    r.steals = count("steals");
     r.timedOut = v.at("timed_out").asBool();
     r.configuration = v.at("configuration").asString();
     // Sandbox fields are absent in pre-sandbox checkpoints; count()
@@ -494,9 +491,6 @@ resultsToJson(const std::vector<JobResult>& results)
         entry.set("quarantined",
                   Value::number(
                       static_cast<double>(r.result.quarantined)));
-        entry.set("steals",
-                  Value::number(
-                      static_cast<double>(r.result.steals)));
         entry.set("timed_out", Value::boolean(r.result.timedOut));
         entry.set("restored", Value::boolean(r.restored));
         entry.set("configuration",
@@ -535,12 +529,12 @@ printResults(std::ostream& os, const std::vector<JobResult>& results)
 {
     support::Table table({"benchmark", "analysis", "algorithm",
                           "speedup", "quality", "EV", "cache", "memo",
-                          "retries", "steals", "kills", "spawn_ms",
+                          "retries", "kills", "spawn_ms",
                           "status"});
     for (const auto& r : results) {
         if (!r.error.empty()) {
             table.addRow({r.spec.benchmark, r.spec.analysis, "-", "-",
-                          "-", "-", "-", "-", "-", "-", "-", "-",
+                          "-", "-", "-", "-", "-", "-", "-",
                           strCat("error: ", r.error)});
             continue;
         }
@@ -559,8 +553,6 @@ printResults(std::ostream& os, const std::vector<JobResult>& results)
                           static_cast<long>(r.result.memoHits)),
                       support::Table::cell(
                           static_cast<long>(r.result.retries)),
-                      support::Table::cell(
-                          static_cast<long>(r.result.steals)),
                       support::Table::cell(
                           static_cast<long>(r.result.childKills)),
                       support::Table::cell(

@@ -1,38 +1,22 @@
 #include "search/context.h"
 
 #include <algorithm>
+#include <future>
 #include <limits>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "support/logging.h"
+#include "support/memo_log.h"
+#include "support/rng.h"
 #include "support/thread_pool.h"
 
 namespace hpcmixp::search {
 
-namespace {
-
-/** FNV-1a over the config key: seeds the per-task jitter stream so
- *  backoff jitter is independent of worker scheduling order. */
-std::uint64_t
-keyHash(const std::string& key)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : key) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
-} // namespace
-
 SearchContext::SearchContext(SearchProblem& problem, SearchBudget budget,
                              ResiliencePolicy resilience)
-    : problem_(problem),
-      budget_(budget),
-      resilience_(resilience),
-      retryRng_(resilience.seed, /*stream=*/0x7e51) // jitter stream
+    : problem_(problem), budget_(budget), resilience_(resilience)
 {
 }
 
@@ -96,27 +80,6 @@ SearchContext::searchJobs() const
 }
 
 void
-SearchContext::setBatchScheduling(BatchScheduling scheduling)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    scheduling_ = scheduling;
-}
-
-SearchContext::BatchScheduling
-SearchContext::batchScheduling() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return scheduling_;
-}
-
-std::size_t
-SearchContext::stealCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return retiredSteals_ + (pool_ ? pool_->stealCount() : 0);
-}
-
-void
 SearchContext::checkBudgetLocked()
 {
     bool overEvals = executed_ >= budget_.maxEvaluations;
@@ -152,8 +115,8 @@ SearchContext::noteBestLocked(const Config& config, const Evaluation& eval)
  */
 Evaluation
 SearchContext::evaluateResilient(const Config& config,
-                                 TaskCounters& counters,
-                                 support::Pcg32& jitterRng)
+                                 const std::string& key,
+                                 TaskCounters& counters)
 {
     // Strict prior mode: a configuration that lowers a pinned site is
     // rejected like an uncompilable one, without executing anything.
@@ -164,6 +127,10 @@ SearchContext::evaluateResilient(const Config& config,
     }
     std::size_t maxAttempts =
         resilience_.maxAttempts > 0 ? resilience_.maxAttempts : 1;
+    // The backoff jitter stream is seeded from the config key, so
+    // retry timing never depends on which thread runs the task.
+    support::Pcg32 jitterRng(resilience_.seed ^ support::fnv1a64(key),
+                             /*stream=*/0x7e51);
     Evaluation eval;
     for (std::size_t attempt = 1;; ++attempt) {
         support::WallTimer attemptTimer;
@@ -255,172 +222,139 @@ SearchContext::commitMemoHitLocked(std::string key,
         .first->second;
 }
 
-const Evaluation&
+Evaluation
 SearchContext::evaluate(const Config& config)
 {
-    HPCMIXP_ASSERT(config.size() == problem_.siteCount(),
-                   "config size does not match problem site count");
-    std::string key = config.toString();
-    // Strict prior mode rejects pinned configurations without
-    // executing; the rejection must also bypass the memo, whose
-    // entries may come from runs with a different prior mode.
-    bool strictReject = prior_.strict() && prior_.violates(config);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = cache_.find(key);
-        if (it != cache_.end()) {
-            ++cacheHits_;
-            noteBestLocked(config, it->second);
-            return it->second;
-        }
-        if (memo_ && !strictReject) {
-            if (auto hit = memo_->lookup(key))
-                return commitMemoHitLocked(std::move(key), config,
-                                           std::move(*hit));
-        }
-        checkBudgetLocked();
-    }
-
-    // Evaluate outside the lock; the serial path shares one jitter
-    // stream, exactly as before batching existed.
-    TaskCounters counters;
-    Evaluation eval = evaluateResilient(config, counters, retryRng_);
-
-    std::lock_guard<std::mutex> lock(mutex_);
-    return commitLocked(std::move(key), config, std::move(eval),
-                        counters);
+    return std::move(evaluateBatch(std::span<const Config>(&config, 1))
+                         .front());
 }
 
 std::vector<Evaluation>
 SearchContext::evaluateBatch(std::span<const Config> configs)
 {
-    if (configs.empty())
-        return {};
-    std::size_t jobs = searchJobs();
-    if (jobs <= 1 || configs.size() == 1) {
-        // Serial fallback: literally the serial loop.
-        std::vector<Evaluation> out;
-        out.reserve(configs.size());
-        for (const auto& config : configs)
-            out.push_back(evaluate(config));
-        return out;
-    }
-
     // Plan: classify each candidate against the cache, the persistent
-    // memo and earlier batch entries. Only first occurrences of
+    // memo and earlier slots of this batch. Only first occurrences of
     // uncached, unmemoized configurations ("fresh") get an evaluation
     // task; memo hits commit the stored evaluation without a task, and
-    // repeats become cache hits at commit time, exactly as in the
-    // serial loop.
-    enum class Kind { Hit, Duplicate, Memo, Fresh };
+    // repeats become cache hits at commit time.
+    enum class Kind { Hit, Memo, Fresh };
     struct Slot {
         std::string key;
         Kind kind = Kind::Fresh;
         std::size_t fresh = 0; ///< task index when kind == Fresh
         Evaluation memoEval;   ///< payload when kind == Kind::Memo
     };
-    std::vector<Slot> plan;
-    plan.reserve(configs.size());
+    std::vector<Slot> plan(configs.size());
+    // Keys claimed by an earlier slot of this batch, fresh tasks and
+    // memo commits alike; repeats of either are in-run cache hits once
+    // the first occurrence commits.
+    std::unordered_set<std::string> claimed;
     std::size_t freshCount = 0;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        // Keys already claimed by an earlier slot of this batch —
-        // fresh tasks and memo commits alike; repeats of either are
-        // in-run cache hits once the first occurrence commits.
-        std::unordered_map<std::string, std::size_t> claimed;
-        for (const auto& config : configs) {
-            HPCMIXP_ASSERT(config.size() == problem_.siteCount(),
-                           "config size does not match problem site count");
-            Slot slot;
-            slot.key = config.toString();
-            bool strictReject =
-                prior_.strict() && prior_.violates(config);
-            std::optional<Evaluation> memoHit;
-            if (cache_.count(slot.key) > 0) {
-                slot.kind = Kind::Hit;
-            } else if (claimed.count(slot.key) > 0) {
-                slot.kind = Kind::Duplicate;
-            } else if (memo_ && !strictReject &&
-                       (memoHit = memo_->lookup(slot.key))) {
-                slot.kind = Kind::Memo;
-                slot.memoEval = std::move(*memoHit);
-                claimed.emplace(slot.key, plan.size());
-            } else {
-                slot.kind = Kind::Fresh;
-                slot.fresh = freshCount++;
-                claimed.emplace(slot.key, plan.size());
-            }
-            plan.push_back(std::move(slot));
+    auto planLocked = [&](std::size_t i) {
+        const Config& config = configs[i];
+        HPCMIXP_ASSERT(config.size() == problem_.siteCount(),
+                       "config size does not match problem site count");
+        Slot& slot = plan[i];
+        slot.key = config.toString();
+        // Strict prior mode rejects pinned configurations without
+        // executing (evaluateResilient); the rejection must also
+        // bypass the memo, whose entries may come from runs with a
+        // different prior mode.
+        bool strictReject = prior_.strict() && prior_.violates(config);
+        if (cache_.count(slot.key) > 0 || claimed.count(slot.key) > 0) {
+            slot.kind = Kind::Hit;
+            return;
         }
-    }
+        claimed.insert(slot.key);
+        std::optional<Evaluation> memoHit;
+        if (memo_ && !strictReject &&
+            (memoHit = memo_->lookup(slot.key))) {
+            slot.kind = Kind::Memo;
+            slot.memoEval = std::move(*memoHit);
+        } else {
+            slot.kind = Kind::Fresh;
+            slot.fresh = freshCount++;
+        }
+    };
 
-    // Evaluate: fresh candidates run concurrently. Each task gets its
-    // own jitter stream seeded from the config key, so backoff timing
-    // never depends on worker scheduling. Candidates that turn out to
-    // lie past the budget are evaluated speculatively here and
-    // discarded below.
+    std::unique_lock<std::mutex> lock(mutex_);
+    const std::size_t jobs = searchJobs_;
+    // In parallel the whole batch is planned up front. Serially, each
+    // slot is planned right before it commits, so a memo entry another
+    // context published meanwhile is still a hit.
+    const bool planAhead = jobs > 1;
+    if (planAhead)
+        for (std::size_t i = 0; i < configs.size(); ++i)
+            planLocked(i);
+
+    // Evaluate: with more than one fresh slot and more than one
+    // worker, fresh candidates run concurrently before anything
+    // commits. Each task's counters stay private until its commit, so
+    // candidates that turn out to lie past the budget are evaluated
+    // speculatively here and discarded below without a trace.
     std::vector<Evaluation> results(freshCount);
     std::vector<TaskCounters> counters(freshCount);
-    if (freshCount > 0) {
-        const support::ThreadPool::Scheduling mode =
-            batchScheduling() == BatchScheduling::Fifo
-                ? support::ThreadPool::Scheduling::Fifo
-                : support::ThreadPool::Scheduling::Steal;
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (pool_ && (pool_->workerCount() != jobs ||
-                          pool_->scheduling() != mode)) {
-                retiredSteals_ += pool_->stealCount();
-                pool_.reset();
-            }
-            if (!pool_)
-                pool_ = std::make_unique<support::ThreadPool>(jobs,
-                                                              mode);
-        }
+    const bool parallel = freshCount > 1;
+    if (parallel) {
+        if (pool_ && pool_->workerCount() != jobs)
+            pool_.reset();
+        if (!pool_)
+            pool_ = std::make_unique<support::ThreadPool>(jobs);
+        lock.unlock();
         std::vector<std::future<void>> futures;
         futures.reserve(freshCount);
         for (std::size_t i = 0; i < plan.size(); ++i) {
             if (plan[i].kind != Kind::Fresh)
                 continue;
-            const Config& config = configs[i];
-            std::size_t task = plan[i].fresh;
-            std::uint64_t jitterSeed =
-                resilience_.seed ^ keyHash(plan[i].key);
             futures.push_back(pool_->submit(
-                [this, &config, task, jitterSeed, &results, &counters] {
-                    support::Pcg32 rng(jitterSeed, /*stream=*/0x7e51);
-                    results[task] = evaluateResilient(
-                        config, counters[task], rng);
+                [this, &config = configs[i], &key = plan[i].key,
+                 &result = results[plan[i].fresh],
+                 &taskCounters = counters[plan[i].fresh]] {
+                    result = evaluateResilient(config, key, taskCounters);
                 }));
         }
         for (auto& fut : futures)
             fut.wait();
         for (auto& fut : futures)
             fut.get(); // propagate any task exception
+        lock.lock();
     }
 
-    // Commit in submission order under one critical section, so the
-    // observable trajectory (counters, cache, best, budget throw
-    // point, memo publication order) is bit-identical to the serial
-    // loop. A budget hit throws and discards the uncommitted tail.
+    // Commit in submission order, so the observable trajectory
+    // (counters, cache, best, budget throw point, memo publication
+    // order) is that of a loop of single evaluations. A budget hit
+    // throws and discards the uncommitted tail.
     std::vector<Evaluation> out(configs.size());
-    std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < plan.size(); ++i) {
+        if (!planAhead)
+            planLocked(i);
         Slot& slot = plan[i];
         if (slot.kind == Kind::Fresh) {
             checkBudgetLocked();
+            Evaluation eval;
+            TaskCounters taskCounters;
+            if (parallel) {
+                eval = std::move(results[slot.fresh]);
+                taskCounters = counters[slot.fresh];
+            } else {
+                // Run inline, outside the lock: the serial "check the
+                // budget, then execute" order.
+                lock.unlock();
+                eval = evaluateResilient(configs[i], slot.key,
+                                         taskCounters);
+                lock.lock();
+            }
             out[i] = commitLocked(std::move(slot.key), configs[i],
-                                  std::move(results[slot.fresh]),
-                                  counters[slot.fresh]);
+                                  std::move(eval), taskCounters);
         } else if (slot.kind == Kind::Memo) {
-            // As in the serial path: a memo hit commits without a
-            // budget check or EV increment.
+            // A memo hit commits without a budget check or EV
+            // increment.
             out[i] = commitMemoHitLocked(std::move(slot.key),
                                          configs[i],
                                          std::move(slot.memoEval));
         } else {
-            // Hit on the pre-batch cache, or repeat of a fresh entry
-            // committed earlier in this loop.
+            // Hit on the cache, or repeat of a slot committed earlier
+            // in this loop.
             auto it = cache_.find(slot.key);
             HPCMIXP_ASSERT(it != cache_.end(),
                            "batch commit: cache entry vanished");

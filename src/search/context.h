@@ -48,7 +48,6 @@
 #include "search/prior.h"
 #include "search/problem.h"
 #include "support/retry.h"
-#include "support/rng.h"
 #include "support/timer.h"
 
 namespace hpcmixp::support {
@@ -98,21 +97,23 @@ class SearchContext {
     const StructureNode* structure() const { return problem_.structure(); }
 
     /**
-     * Evaluate @p config, consulting the cache first.
+     * Evaluate @p config, consulting the cache first: the one-element
+     * case of evaluateBatch().
      * @throws BudgetExhausted once the budget is exceeded.
      */
-    const Evaluation& evaluate(const Config& config);
+    Evaluation evaluate(const Config& config);
 
     /**
      * Evaluate a set of *independent* candidates, returning their
-     * evaluations in submission order. With searchJobs() > 1 the fresh
-     * (uncached, first-occurrence) candidates run concurrently on a
-     * thread pool; results are then committed strictly in submission
-     * order, so the cache contents, EV/cache-hit/retry/quarantine
-     * counters, memo publication order and the point at which
-     * BudgetExhausted fires are identical to calling evaluate() in a
-     * loop. Candidates past the budget are evaluated speculatively but
-     * never committed.
+     * evaluations in submission order. With searchJobs() > 1 and more
+     * than one fresh (uncached, first-occurrence) candidate, the fresh
+     * ones run concurrently on a thread pool; otherwise each runs
+     * inline once its budget check passes. Results are committed
+     * strictly in submission order either way, so the cache contents,
+     * EV/cache-hit/retry/quarantine counters, memo publication order
+     * and the point at which BudgetExhausted fires are identical to
+     * calling evaluate() in a loop. Candidates past the budget may be
+     * evaluated speculatively on the pool but are never committed.
      *
      * The problem's evaluate() must tolerate concurrent calls when
      * searchJobs() > 1 (every built-in problem and FaultyProblem do).
@@ -129,25 +130,6 @@ class SearchContext {
      */
     void setSearchJobs(std::size_t jobs);
     std::size_t searchJobs() const;
-
-    /** Scheduling mode of the evaluateBatch thread pool. */
-    enum class BatchScheduling {
-        Fifo,  ///< static round-robin dealing, no stealing
-        Steal, ///< same dealing plus work stealing (default)
-    };
-
-    /**
-     * Select the batch scheduler. Trajectories are bit-identical
-     * either way — results commit in submission order regardless of
-     * execution order — so this is a performance knob (and the lever
-     * the equivalence tests pull). Takes effect at the next batch.
-     */
-    void setBatchScheduling(BatchScheduling scheduling);
-    BatchScheduling batchScheduling() const;
-
-    /** Batch evaluations executed by a pool worker other than the one
-     *  they were dealt to; always 0 under Fifo. */
-    std::size_t stealCount() const;
 
     /**
      * Install a static sensitivity prior (DESIGN.md Section 11).
@@ -242,8 +224,8 @@ class SearchContext {
                                           const Config& config,
                                           Evaluation eval);
     Evaluation evaluateResilient(const Config& config,
-                                 TaskCounters& counters,
-                                 support::Pcg32& jitterRng);
+                                 const std::string& key,
+                                 TaskCounters& counters);
 
     SearchProblem& problem_;
     SearchBudget budget_;
@@ -253,7 +235,6 @@ class SearchContext {
     /// internally synchronized, so no context lock is needed to use it.
     std::shared_ptr<MemoTable> memo_;
     std::shared_ptr<const std::atomic<bool>> cancel_;
-    support::Pcg32 retryRng_;
     support::WallTimer timer_;
 
     mutable std::mutex mutex_; ///< guards everything below
@@ -269,8 +250,6 @@ class SearchContext {
     bool exhausted_ = false;
 
     std::size_t searchJobs_ = 1;
-    BatchScheduling scheduling_ = BatchScheduling::Steal;
-    std::size_t retiredSteals_ = 0; ///< steals of discarded pools
     std::unique_ptr<support::ThreadPool> pool_;
 };
 

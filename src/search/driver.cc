@@ -31,7 +31,6 @@ runSearch(SearchProblem& problem, SearchStrategy& strategy,
     result.retries = ctx.retryCount();
     result.deadlineMisses = ctx.deadlineMissCount();
     result.quarantined = ctx.quarantinedCount();
-    result.steals = ctx.stealCount();
     result.searchSeconds = ctx.elapsedSeconds();
     result.cache = ctx.cacheEntries();
 

@@ -26,7 +26,7 @@ struct SearchResult {
     std::size_t retries = 0;        ///< transient-failure re-attempts
     std::size_t deadlineMisses = 0; ///< attempts discarded as stragglers
     std::size_t quarantined = 0;    ///< configs failed after retries
-    std::size_t steals = 0;         ///< batch evals run by a stealing worker
+    std::size_t steals = 0;         ///< always 0; campaign_bench/ reads it
     bool timedOut = false;          ///< budget exhausted mid-search
     double searchSeconds = 0.0;
     /// Committed cache at return, key-sorted (SearchContext::cacheEntries);

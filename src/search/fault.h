@@ -127,13 +127,14 @@ class FaultInjector {
 };
 
 /**
- * SearchProblem decorator injecting faults per the plan. Crashes
- * return RuntimeFail without running the inner problem (the node
- * died); hangs stall for hangSeconds and then evaluate normally (a
- * straggler the deadline policy converts into a RuntimeFail); NaN
- * faults run the inner problem and destroy the quality of a run that
- * completed. Compile failures pass through untouched — a
- * configuration that never runs cannot crash.
+ * SearchProblem decorator injecting faults per the plan. Crashes run
+ * the inner problem and replace its result with a RuntimeFail (the
+ * node died before reporting); hangs stall for hangSeconds and then
+ * evaluate normally (a straggler the deadline policy converts into a
+ * RuntimeFail); NaN faults run the inner problem and destroy the
+ * quality of a run that completed. Compile failures pass through
+ * untouched under every kind — a configuration that never runs cannot
+ * crash.
  *
  * Raw kinds (RawCrash/RawHang/RawSegv) are posted on the thread-local
  * pending channel for the sandboxed executor to detonate inside the

@@ -108,46 +108,6 @@ MemoFingerprint::hash() const
     return support::fnv1a64(describe());
 }
 
-support::json::Value
-MemoFingerprint::toJson() const
-{
-    using support::json::Value;
-    Value v = Value::object();
-    v.set("benchmark", Value::string(benchmark));
-    // The signature is a full 64-bit hash; JSON numbers cannot carry
-    // it exactly, so it travels as a decimal string.
-    v.set("input_signature",
-          Value::string(strCat(inputSignature)));
-    v.set("metric", Value::string(metric));
-    v.set("threshold", Value::number(threshold));
-    v.set("sites", Value::number(static_cast<double>(sites)));
-    v.set("ladder", Value::string(ladder));
-    return v;
-}
-
-std::optional<MemoFingerprint>
-MemoFingerprint::fromJson(const support::json::Value& v)
-{
-    if (!v.isObject() || !v.has("benchmark") ||
-        !v.has("input_signature") || !v.has("metric") ||
-        !v.has("threshold") || !v.has("sites") || !v.has("ladder"))
-        return std::nullopt;
-    MemoFingerprint fp;
-    fp.benchmark = v.at("benchmark").asString();
-    const std::string& sig = v.at("input_signature").asString();
-    char* end = nullptr;
-    fp.inputSignature = std::strtoull(sig.c_str(), &end, 10);
-    if (end != sig.c_str() + sig.size())
-        return std::nullopt;
-    fp.metric = v.at("metric").asString();
-    fp.threshold = v.at("threshold").asNumber();
-    fp.sites = static_cast<std::size_t>(v.at("sites").asLong());
-    fp.ladder = v.at("ladder").asString();
-    if (!fp.valid())
-        return std::nullopt;
-    return fp;
-}
-
 MemoTable::MemoTable(const std::string& path,
                      const MemoFingerprint& fingerprint)
     : fingerprint_(fingerprint), log_(path, fingerprint.describe())

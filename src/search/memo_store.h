@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "search/problem.h"
-#include "support/json.h"
 #include "support/memo_log.h"
 
 namespace hpcmixp::search {
@@ -72,12 +71,6 @@ struct MemoFingerprint {
 
     /** Content address: hash of describe(). */
     std::uint64_t hash() const;
-
-    support::json::Value toJson() const;
-
-    /** Parse a toJson() document; nullopt when malformed. */
-    static std::optional<MemoFingerprint>
-    fromJson(const support::json::Value& v);
 
     bool operator==(const MemoFingerprint& other) const = default;
 };

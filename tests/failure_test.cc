@@ -318,13 +318,59 @@ TEST(Resilience, RetryExhaustionQuarantinesTheConfig)
     EXPECT_EQ(eval.status, EvalStatus::RuntimeFail);
     EXPECT_EQ(ctx.retryCount(), 2u);
     EXPECT_EQ(ctx.quarantinedCount(), 1u);
-    EXPECT_EQ(inner.rawCalls(), 0); // the crash replaced every run
+    // Each crashed attempt ran and lost its result.
+    EXPECT_EQ(inner.rawCalls(), 3);
 
     // The search continues: further configs evaluate (and fail)
     // without the context aborting.
     const auto& second = ctx.evaluate(Config::withLowered(4, {1}));
     EXPECT_EQ(second.status, EvalStatus::RuntimeFail);
     EXPECT_EQ(ctx.quarantinedCount(), 2u);
+}
+
+/** ScriptedProblem whose sites 0 and 1 form one cluster: a config
+ *  that splits them is a compile failure and never runs. */
+class SplitClusterProblem final : public ScriptedProblem {
+  public:
+    SplitClusterProblem() : ScriptedProblem(false) {}
+
+    search::Evaluation
+    evaluate(const Config& config) override
+    {
+        if (config.test(0) != config.test(1))
+            return search::Evaluation{}; // CompileFail
+        return ScriptedProblem::evaluate(config);
+    }
+};
+
+TEST(Resilience, InjectedCrashLeavesCompileFailuresUntouched)
+{
+    SplitClusterProblem inner;
+    FaultPlan plan;
+    plan.crashRate = 1.0; // every attempt crashes
+    plan.seed = 5;
+    FaultyProblem faulty(inner, plan);
+
+    ResiliencePolicy policy;
+    policy.maxAttempts = 3;
+    policy.sleepBetweenRetries = false;
+    SearchContext ctx(faulty, {100, 0.0}, policy);
+
+    // A configuration that never compiles cannot crash: no EV, no
+    // retries, no quarantine.
+    auto split = ctx.evaluate(Config::withLowered(4, {0}));
+    EXPECT_EQ(split.status, EvalStatus::CompileFail);
+    EXPECT_EQ(ctx.evaluatedCount(), 0u);
+    EXPECT_EQ(ctx.compileFailCount(), 1u);
+    EXPECT_EQ(ctx.retryCount(), 0u);
+    EXPECT_EQ(ctx.quarantinedCount(), 0u);
+
+    // A compilable one still crashes on every attempt.
+    auto whole = ctx.evaluate(Config::withLowered(4, {0, 1}));
+    EXPECT_EQ(whole.status, EvalStatus::RuntimeFail);
+    EXPECT_EQ(ctx.evaluatedCount(), 1u);
+    EXPECT_EQ(ctx.retryCount(), 2u);
+    EXPECT_EQ(ctx.quarantinedCount(), 1u);
 }
 
 TEST(Resilience, DeadlineConvertsStragglersIntoRuntimeFails)

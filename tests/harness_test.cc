@@ -647,6 +647,35 @@ TEST(HarnessMemo, WarmCampaignRerunExecutesNothing)
     std::filesystem::remove_all(dir);
 }
 
+TEST(HarnessMemo, WarmPrecimoniousRerunExecutesNothing)
+{
+    std::string dir = ::testing::TempDir() + "harness_memo_precimonious";
+    std::filesystem::remove_all(dir);
+
+    auto jobs = parseConfig(support::yaml::parse(
+        "eos:\n  threshold: 1e-8\n  analysis:\n    prec:\n"
+        "      name: 'precimonious'\n"));
+    HarnessOptions options;
+    options.tuner.searchReps = 1;
+    options.tuner.finalReps = 3;
+    options.tuner.budget = {200, 0.0};
+    options.memoCacheDir = dir;
+
+    auto cold = runJobs(jobs, options);
+    ASSERT_EQ(cold.size(), 1u);
+    ASSERT_TRUE(cold[0].error.empty()) << cold[0].error;
+    EXPECT_GT(cold[0].result.evaluated, 0u);
+    EXPECT_EQ(cold[0].result.memoHits, 0u);
+
+    auto warm = runJobs(jobs, options);
+    ASSERT_TRUE(warm[0].error.empty()) << warm[0].error;
+    EXPECT_EQ(warm[0].result.evaluated, 0u);
+    EXPECT_EQ(warm[0].result.memoHits, cold[0].result.evaluated);
+    EXPECT_EQ(warm[0].result.compileFailures,
+              cold[0].result.compileFailures);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(HarnessPortfolio, OverrideRacesStrategiesPerBenchmark)
 {
     std::string dir = ::testing::TempDir() + "harness_portfolio_store";

@@ -27,7 +27,6 @@
 #include "search/driver.h"
 #include "search/fault.h"
 #include "search/memo_store.h"
-#include "support/json.h"
 #include "support/logging.h"
 #include "support/memo_log.h"
 
@@ -36,7 +35,6 @@ namespace {
 using namespace hpcmixp::search;
 using hpcmixp::support::AppendLog;
 using hpcmixp::support::fnv1a64;
-using hpcmixp::support::json::Value;
 
 std::string
 scratchPath(const std::string& name)
@@ -239,20 +237,6 @@ TEST(MemoFingerprint, HashSeparatesEveryField)
         EXPECT_NE(changed.hash(), base.hash());
         EXPECT_NE(changed.describe(), base.describe());
     }
-}
-
-TEST(MemoFingerprint, JsonRoundTripIsExact)
-{
-    MemoFingerprint fp = testFingerprint(7);
-    // A signature above 2^53 would lose bits through a double; the
-    // JSON path must carry all 64.
-    fp.inputSignature = 0xfedcba9876543210ull;
-    fp.threshold = 0.1; // not exactly representable
-    auto back = MemoFingerprint::fromJson(fp.toJson());
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(*back, fp);
-    EXPECT_FALSE(
-        MemoFingerprint::fromJson(Value::array()).has_value());
 }
 
 // --- MemoTable -------------------------------------------------------

@@ -6,6 +6,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -278,87 +279,10 @@ TEST_P(SearchProperty, ParallelBatchesMatchSerialTrajectory)
     }
 }
 
-/**
- * RandomProblem whose evaluation *cost* varies per configuration (a
- * seeded spin) while the evaluation *values* stay pure functions of
- * the configuration. Uneven latency is what makes work stealing kick
- * in: fast workers drain their deques and raid the loaded ones.
- */
-class UnevenLatencyProblem : public RandomProblem {
-  public:
-    UnevenLatencyProblem(std::size_t sites, std::uint64_t seed)
-        : RandomProblem(sites, seed), spinSeed_(seed)
-    {
-    }
-
-    Evaluation
-    evaluate(const Config& config) override
-    {
-        Pcg32 rng(spinSeed_ ^
-                  std::hash<std::string>{}(config.toString()));
-        volatile double sink = 0.0;
-        const std::uint32_t spins = rng.nextBounded(20000);
-        for (std::uint32_t i = 0; i < spins; ++i)
-            sink += static_cast<double>(i) * 1e-9;
-        (void)sink;
-        return RandomProblem::evaluate(config);
-    }
-
-  private:
-    std::uint64_t spinSeed_;
-};
-
-/**
- * The stealing scheduler is a pure throughput optimization: a batch
- * with wildly uneven per-item latencies must commit bit-identical
- * evaluations in both scheduling modes — commit order follows
- * submission order, never completion order.
- */
-TEST_P(SearchProperty, StealSchedulingMatchesFifoBitIdentically)
-{
-    auto runWith = [&](SearchContext::BatchScheduling mode,
-                       std::vector<Evaluation>& evals) {
-        UnevenLatencyProblem problem(10, GetParam());
-        SearchContext ctx(problem, bigBudget(), ResiliencePolicy{});
-        ctx.setSearchJobs(4);
-        ctx.setBatchScheduling(mode);
-
-        std::vector<Config> batch;
-        Pcg32 rng(GetParam() * 0x9e3779b9u + 17);
-        for (int i = 0; i < 48; ++i) {
-            Config cfg(10);
-            for (std::size_t s = 0; s < 10; ++s)
-                if (rng.chance(0.5))
-                    cfg.set(s);
-            batch.push_back(cfg);
-        }
-        evals = ctx.evaluateBatch(batch);
-        return canonicalCache(ctx.cacheEntries());
-    };
-
-    std::vector<Evaluation> stealEvals, fifoEvals;
-    auto stealCache =
-        runWith(SearchContext::BatchScheduling::Steal, stealEvals);
-    auto fifoCache =
-        runWith(SearchContext::BatchScheduling::Fifo, fifoEvals);
-
-    ASSERT_EQ(stealEvals.size(), fifoEvals.size());
-    for (std::size_t i = 0; i < stealEvals.size(); ++i) {
-        EXPECT_EQ(stealEvals[i].status, fifoEvals[i].status) << i;
-        EXPECT_EQ(stealEvals[i].speedup, fifoEvals[i].speedup) << i;
-        EXPECT_EQ(stealEvals[i].runtimeSeconds,
-                  fifoEvals[i].runtimeSeconds)
-            << i;
-        EXPECT_EQ(stealEvals[i].qualityLoss, fifoEvals[i].qualityLoss)
-            << i;
-    }
-    EXPECT_EQ(stealCache, fifoCache);
-}
-
-/** A deliberately lopsided batch: the slow item lands in one worker's
- *  deque along with a pile of fast ones, so the idle workers must
- *  steal to drain the batch promptly. */
-TEST(StealScheduling, ThievesDrainALoadedWorker)
+/** A deliberately lopsided batch: the first item blocks its worker
+ *  until every other item has been evaluated, which only happens if
+ *  the idle workers drain the shared queue behind it. */
+TEST(BatchScheduling, IdleWorkersDrainPastASlowItem)
 {
     class StallFirstProblem : public SearchProblem {
       public:
@@ -366,9 +290,17 @@ TEST(StealScheduling, ThievesDrainALoadedWorker)
         Evaluation
         evaluate(const Config& config) override
         {
-            if (config.test(0) && config.count() == 1)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(80));
+            if (config.test(0) && config.count() == 1) {
+                auto deadline = std::chrono::steady_clock::now() +
+                                std::chrono::seconds(10);
+                while (fastDone.load() < 32 &&
+                       std::chrono::steady_clock::now() < deadline)
+                    std::this_thread::sleep_for(
+                        std::chrono::microseconds(200));
+                fastDoneWhenSlowFinished = fastDone.load();
+            } else {
+                ++fastDone;
+            }
             Evaluation eval;
             eval.speedup =
                 1.0 + 0.01 * static_cast<double>(config.count());
@@ -376,13 +308,13 @@ TEST(StealScheduling, ThievesDrainALoadedWorker)
             eval.status = EvalStatus::Pass;
             return eval;
         }
+        std::atomic<int> fastDone{0};
+        int fastDoneWhenSlowFinished = -1;
     } problem;
 
     SearchContext ctx(problem, SearchBudget{1000000, 0.0},
                       ResiliencePolicy{});
     ctx.setSearchJobs(4);
-    ASSERT_EQ(ctx.batchScheduling(),
-              SearchContext::BatchScheduling::Steal);
 
     std::vector<Config> batch;
     Config slow(6);
@@ -399,7 +331,8 @@ TEST(StealScheduling, ThievesDrainALoadedWorker)
     }
     auto evals = ctx.evaluateBatch(batch);
     EXPECT_EQ(evals.size(), batch.size());
-    EXPECT_GT(ctx.stealCount(), 0u);
+    EXPECT_EQ(problem.fastDoneWhenSlowFinished, 32);
+    EXPECT_EQ(ctx.evaluatedCount(), batch.size());
 }
 
 /**
