@@ -10,14 +10,17 @@
  * the pool's wall-clock overhead on the search, and its mean
  * per-evaluation dispatch overhead. Both runs are fault-free, so they
  * execute the same configuration set (CB's exploration order is
- * fixed) and the wall difference is the sandbox machinery.
+ * fixed) and the wall difference is the sandbox machinery. Every
+ * campaign gets its own benchmark instance, so neither inherits the
+ * other's lazily converted inputs, and the two modes run as kPairs
+ * pairs whose order alternates; the table reports the medians.
  *
  * Part 2 — load balance. Pushes deliberately uneven-latency synthetic
  * batches through SearchContext::evaluateBatch at 8 worker threads
  * and compares the wall time with the ideal schedule: per batch,
  * max(sum of item latencies / jobs, longest item), summed over the
  * batches. Per-item latency blocks (sleeps) rather than spins,
- * mirroring the sandboxed reality this pool exists for — the parent
+ * mirroring the sandbox reality this pool exists for — the parent
  * thread waits on a child pidfd — so the comparison holds on any
  * core count. An efficiency (ideal / measured) near 1 says idle
  * workers never sit out while the queue still holds work.
@@ -42,22 +45,50 @@
 #include "support/json.h"
 #include "support/logging.h"
 #include "support/rng.h"
+#include "support/stats.h"
 #include "support/timer.h"
 
 namespace {
 
 using namespace hpcmixp;
 
+/** In-process/pool campaign pairs per benchmark. */
+constexpr std::size_t kPairs = 3;
+
 struct PoolRun {
     std::string benchmark;
     std::size_t evaluated = 0;
-    double noneSeconds = 0.0;   ///< in-process search wall clock
-    double poolSeconds = 0.0;   ///< pool search wall clock
-    double overheadPct = 0.0;   ///< pool over in-process, percent
-    double dispatchMs = 0.0;    ///< mean ring-dispatch overhead per eval
-    std::size_t poolForks = 0;  ///< actual fork() calls under the pool
-    bool evMatch = false;       ///< both modes executed the same EV
+    double noneSeconds = 0.0;   ///< median in-process search wall clock
+    double poolSeconds = 0.0;   ///< median pool search wall clock
+    double overheadPct = 0.0;   ///< median per-pair pool overhead, percent
+    double dispatchMs = 0.0;    ///< median ring-dispatch overhead per eval
+    std::size_t poolForks = 0;  ///< fork() calls of the last pool campaign
+    bool evMatch = true;        ///< every campaign executed the same EV
 };
+
+/** One CB campaign on a fresh instance of @p name. */
+struct ModeRun {
+    std::size_t evaluated = 0;
+    double seconds = 0.0;
+    double dispatchMs = 0.0;
+    std::size_t forks = 0;
+};
+
+ModeRun
+runCampaign(const std::string& name, core::TunerOptions options,
+            support::IsolationMode isolation)
+{
+    auto benchmark = benchmarks::BenchmarkRegistry::instance().create(name);
+    options.isolation = isolation;
+    core::BenchmarkTuner tuner(*benchmark, options);
+    core::TuneOutcome outcome = tuner.tune("CB");
+    ModeRun run;
+    run.evaluated = outcome.search.evaluated;
+    run.seconds = outcome.search.searchSeconds;
+    run.dispatchMs = tuner.sandboxStats().spawnOverheadMeanSeconds * 1e3;
+    run.forks = tuner.sandboxStats().forks;
+    return run;
+}
 
 /**
  * Seeded, config-determined latency of one skewed evaluation. Spread
@@ -77,7 +108,7 @@ skewedMicros(const search::Config& config)
 
 /**
  * Synthetic uneven-latency problem for the load-balance measurement:
- * each evaluation blocks for skewedMicros — the shape of a sandboxed
+ * each evaluation blocks for skewedMicros — the shape of a sandbox
  * evaluation, where the searcher thread sleeps on the child's pidfd —
  * while the reported values stay pure functions of the configuration.
  */
@@ -173,34 +204,43 @@ main(int argc, char** argv)
     std::vector<PoolRun> runs;
 
     for (const std::string& name : names) {
-        auto benchmark =
-            benchmarks::BenchmarkRegistry::instance().create(name);
-
         PoolRun run;
         run.benchmark = name;
-
-        // One tuner per mode: isolation is fixed at construction.
-        core::TunerOptions noneOptions = options.tuner;
-        noneOptions.isolation = support::IsolationMode::None;
-        core::BenchmarkTuner noneTuner(*benchmark, noneOptions);
-        core::TuneOutcome none = noneTuner.tune("CB");
-
-        core::TunerOptions poolOptions = options.tuner;
-        poolOptions.isolation = support::IsolationMode::Pool;
-        core::BenchmarkTuner poolTuner(*benchmark, poolOptions);
-        core::TuneOutcome pooled = poolTuner.tune("CB");
-
-        run.evaluated = none.search.evaluated;
-        run.noneSeconds = none.search.searchSeconds;
-        run.poolSeconds = pooled.search.searchSeconds;
+        std::vector<double> noneSeconds, poolSeconds, overheads,
+            dispatchMs;
+        for (std::size_t pair = 0; pair < kPairs; ++pair) {
+            // Alternate which mode runs first, so neither always pays
+            // the process's cold start.
+            ModeRun none, pooled;
+            if (pair % 2 == 0) {
+                none = runCampaign(name, options.tuner,
+                                   support::IsolationMode::None);
+                pooled = runCampaign(name, options.tuner,
+                                     support::IsolationMode::Pool);
+            } else {
+                pooled = runCampaign(name, options.tuner,
+                                     support::IsolationMode::Pool);
+                none = runCampaign(name, options.tuner,
+                                   support::IsolationMode::None);
+            }
+            if (pair == 0)
+                run.evaluated = none.evaluated;
+            run.evMatch = run.evMatch &&
+                          none.evaluated == run.evaluated &&
+                          pooled.evaluated == run.evaluated;
+            noneSeconds.push_back(none.seconds);
+            poolSeconds.push_back(pooled.seconds);
+            if (none.seconds > 0.0)
+                overheads.push_back(
+                    (pooled.seconds / none.seconds - 1.0) * 100.0);
+            dispatchMs.push_back(pooled.dispatchMs);
+            run.poolForks = pooled.forks;
+        }
+        run.noneSeconds = support::median(noneSeconds);
+        run.poolSeconds = support::median(poolSeconds);
         run.overheadPct =
-            run.noneSeconds > 0.0
-                ? (run.poolSeconds / run.noneSeconds - 1.0) * 100.0
-                : 0.0;
-        run.dispatchMs =
-            poolTuner.sandboxStats().spawnOverheadMeanSeconds * 1e3;
-        run.poolForks = poolTuner.sandboxStats().forks;
-        run.evMatch = pooled.search.evaluated == none.search.evaluated;
+            overheads.empty() ? 0.0 : support::median(overheads);
+        run.dispatchMs = support::median(dispatchMs);
         runs.push_back(run);
 
         table.addRow(
@@ -214,7 +254,8 @@ main(int argc, char** argv)
 
     std::cout << "Worker-pool cost against in-process, CB campaigns (budget "
               << options.tuner.budget.maxEvaluations << ", reps "
-              << options.tuner.searchReps << ")\n";
+              << options.tuner.searchReps << ", median of " << kPairs
+              << " alternating pairs)\n";
     benchutil::emit(table, options);
 
     // ---- Part 2: load balance on uneven-latency batches ------------
@@ -247,6 +288,7 @@ main(int argc, char** argv)
     doc.set("reps",
             Value::number(
                 static_cast<double>(options.tuner.searchReps)));
+    doc.set("pairs", Value::number(static_cast<double>(kPairs)));
     Value rows = Value::array();
     for (const PoolRun& run : runs) {
         Value row = Value::object();

@@ -198,11 +198,14 @@ BenchmarkTuner::BenchmarkTuner(const benchmarks::Benchmark& benchmark,
                   options_.threshold)
 {
     // Sandbox configuration sanity, checked before any evaluation
-    // runs: raw fault injection is only survivable in pool workers
-    // (FaultyProblem re-checks via the sandboxed flag), and a raw hang
-    // spins forever unless a deadline arms the parent's SIGKILL.
-    options_.faultPlan.sandboxed =
-        options_.isolation == support::IsolationMode::Pool;
+    // runs: raw fault injection is only survivable in pool workers,
+    // and a raw hang spins forever unless a deadline arms the
+    // parent's SIGKILL.
+    if (options_.faultPlan.rawEnabled() &&
+        options_.isolation != support::IsolationMode::Pool)
+        support::fatal(
+            "raw fault injection (--fault-raw-*) genuinely kills the "
+            "evaluating process; it requires --isolation=pool");
     if (options_.faultPlan.rawHangRate > 0.0 &&
         options_.resilience.deadlineSeconds <= 0.0)
         support::fatal(
@@ -490,7 +493,7 @@ BenchmarkTuner::evaluateClusterConfig(const Config& cfg,
 }
 
 /**
- * Crash-loop cutoff of the sandboxed path. Returns true (and marks
+ * Crash-loop cutoff of the pooled path. Returns true (and marks
  * one fast-fail) once crashed children reach the configured cap; the
  * caller then fails the attempt without dispatching it.
  */
@@ -508,7 +511,7 @@ BenchmarkTuner::crashCutoffTripped()
         support::warn(support::strCat(
             benchmark_.name(), ": ", sandbox_.crashedChildren(),
             " crashed children reached --isolation-max-crashes; "
-            "failing further sandboxed attempts without dispatching"));
+            "failing further pooled attempts without dispatching"));
     }
     return true;
 }
@@ -726,25 +729,13 @@ BenchmarkTuner::staticPrior(search::Granularity granularity) const
 search::SearchProblem&
 BenchmarkTuner::clusterProblem()
 {
-    return *clusterProblem_;
-}
-
-search::SearchProblem&
-BenchmarkTuner::variableProblem()
-{
-    return *variableProblem_;
-}
-
-search::SearchProblem&
-BenchmarkTuner::searchClusterProblem()
-{
     if (faultyCluster_)
         return *faultyCluster_;
     return *clusterProblem_;
 }
 
 search::SearchProblem&
-BenchmarkTuner::searchVariableProblem()
+BenchmarkTuner::variableProblem()
 {
     if (faultyVariable_)
         return *faultyVariable_;
@@ -834,8 +825,8 @@ BenchmarkTuner::tune(search::SearchStrategy& strategy)
     bool variableLevel =
         strategy.granularity() == search::Granularity::Variable;
     search::SearchProblem& problem = variableLevel
-                                         ? searchVariableProblem()
-                                         : searchClusterProblem();
+                                         ? variableProblem()
+                                         : clusterProblem();
 
     search::SearchRunOptions run = runOptionsFor(strategy.granularity());
 
@@ -873,8 +864,8 @@ BenchmarkTuner::tunePortfolio(
         entrant.strategy = makeStrategy(code, options_);
         bool variableLevel = entrant.strategy->granularity() ==
                              search::Granularity::Variable;
-        entrant.problem = variableLevel ? &searchVariableProblem()
-                                        : &searchClusterProblem();
+        entrant.problem = variableLevel ? &variableProblem()
+                                        : &clusterProblem();
         // Entrants of one granularity share one memo table: it
         // deduplicates them against each other and is what a resumed
         // portfolio replays.

@@ -49,7 +49,12 @@ struct TunerOptions {
     std::size_t finalReps = 10; ///< reps for the final measurement
     search::SearchBudget budget{2000, 0.0};
 
-    /** Campaign seed, shared by the GA and the fault injector. */
+    /**
+     * Campaign seed of the GA (gaOptions() copies it). The fault
+     * injector and the backoff jitter draw from their own seeds,
+     * faultPlan.seed and resilience.seed; the harness copies --seed
+     * into all three.
+     */
     std::uint64_t seed = 2020;
 
     /**
@@ -119,7 +124,7 @@ struct TunerOptions {
 
     /**
      * Crash-loop cutoff (harness --isolation-max-crashes): once this
-     * many children have crashed or been killed, further sandboxed
+     * many children have crashed or been killed, further pooled
      * attempts fail fast without dispatching. 0 = unlimited. This
      * also caps worker re-forks: each dead worker is re-forked, but
      * once the cutoff trips no further jobs are dispatched.
@@ -234,18 +239,14 @@ class BenchmarkTuner {
     /** Baseline (all-double) mean runtime in seconds. */
     double baselineSeconds() const { return baselineSeconds_; }
 
-    /** Cluster-level search problem (CB, DD, GA). */
+    /** Cluster-level search problem (CB, DD, GA), wrapped in the
+     *  configured fault plan when injection is enabled. */
     search::SearchProblem& clusterProblem();
 
-    /** Variable-level search problem with structure info (CM, HR, HC). */
+    /** Variable-level search problem with structure info (CM, HR,
+     *  HC), wrapped in the configured fault plan when injection is
+     *  enabled. */
     search::SearchProblem& variableProblem();
-
-    /** clusterProblem() wrapped in the configured fault plan
-     *  (the plain problem when injection is disabled). */
-    search::SearchProblem& searchClusterProblem();
-
-    /** variableProblem() wrapped in the configured fault plan. */
-    search::SearchProblem& searchVariableProblem();
 
     /**
      * Run the strategy registered under @p strategyCode at its own

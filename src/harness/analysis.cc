@@ -34,16 +34,19 @@ FloatsmithAnalysis::algorithmCode(const std::string& spelling)
 
 namespace {
 
-/** Parse a positive integer extra-arg, keeping @p fallback if absent. */
+/** Parse an integer extra-arg of at least @p minimum (0 or 1),
+ *  keeping @p fallback if absent. */
 std::size_t
-sizeArg(const ExtraArgs& args, const char* name, std::size_t fallback)
+sizeArg(const ExtraArgs& args, const char* name, std::size_t fallback,
+        long minimum = 1)
 {
     auto it = args.find(name);
     if (it == args.end())
         return fallback;
     long v = support::parseLong(it->second, name);
-    if (v <= 0)
-        fatal(strCat("analysis: '", name, "' must be positive"));
+    if (v < minimum)
+        fatal(strCat("analysis: '", name, "' must be ",
+                     minimum > 0 ? "positive" : "non-negative"));
     return static_cast<std::size_t>(v);
 }
 
@@ -96,7 +99,7 @@ FloatsmithAnalysis::analyze(const benchmarks::Benchmark& benchmark,
         search::GaOptions ga = core::gaOptions(options);
         ga.population = sizeArg(args, "population", ga.population);
         ga.generations = sizeArg(args, "generations", ga.generations);
-        ga.seed = sizeArg(args, "seed", static_cast<std::size_t>(ga.seed));
+        ga.seed = sizeArg(args, "seed", ga.seed, /*minimum=*/0);
         search::GeneticSearch strategy(ga);
         outcome = tuner.tune(strategy);
     } else {
@@ -146,7 +149,7 @@ PrecimoniousAnalysis::analyze(const benchmarks::Benchmark& benchmark,
         tuner.runOptionsFor(search::Granularity::Variable);
     run.prior = {};
     search::SearchResult searchResult = search::runSearch(
-        tuner.searchVariableProblem(), dd, options.budget, run);
+        tuner.variableProblem(), dd, options.budget, run);
 
     AnalysisResult result;
     result.analysis = name();
@@ -189,13 +192,8 @@ PortfolioAnalysis::analyze(const benchmarks::Benchmark& benchmark,
             fatal(strCat("portfolio: unknown mode '", it->second,
                          "' (expected best or race)"));
     }
-    std::size_t workers = 0; // 0 = one worker per entrant
-    if (auto it = args.find("workers"); it != args.end()) {
-        long v = support::parseLong(it->second, "workers");
-        if (v < 0)
-            fatal("portfolio: 'workers' must be non-negative");
-        workers = static_cast<std::size_t>(v);
-    }
+    // 0 = one worker per entrant
+    std::size_t workers = sizeArg(args, "workers", 0, /*minimum=*/0);
 
     core::BenchmarkTuner tuner(benchmark, options);
     core::PortfolioOutcome outcome =

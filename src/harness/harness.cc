@@ -406,14 +406,7 @@ runJobs(const std::vector<JobSpec>& jobs, const HarnessOptions& opts)
 
     const std::string ladder = core::ladderIdentity(options.tuner);
     auto runOne = [&](std::size_t i) {
-        JobSpec spec = jobs[i];
-        // --portfolio swaps the configured analysis for the racing
-        // portfolio; the key follows so checkpoints of the two setups
-        // never alias.
-        if (options.portfolio) {
-            spec.analysis = "portfolio";
-            spec.extraArgs["mode"] = options.portfolioMode;
-        }
+        const JobSpec& spec = jobs[i];
         std::string key = jobKey(spec, i, ladder);
 
         if (auto it = resume.completed.find(

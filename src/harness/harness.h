@@ -76,14 +76,6 @@ struct HarnessOptions {
      * selects the checkpoint's companion directory (see above).
      */
     std::string memoCacheDir;
-
-    /** Run every job through the portfolio analysis (--portfolio),
-     *  racing the strategies against the shared memo store instead of
-     *  the analysis the configuration names. */
-    bool portfolio = false;
-
-    /** Portfolio finisher policy: "best" or "race". */
-    std::string portfolioMode = "best";
 };
 
 /** One completed job. */

@@ -2,112 +2,118 @@
  * @file
  * mixpbench-harness — command-line entry point.
  *
- *   mixpbench-harness --config suite.yaml [--jobs N]
- *                     [--search-jobs N] [--reps R]
- *                     [--budget E] [--seed S] [--retries N]
- *                     [--deadline S] [--fault-rate P]
- *                     [--isolation none|pool]
- *                     [--isolation-max-crashes N] [--pool-workers N]
- *                     [--checkpoint F] [--resume F]
- *                     [--memo-cache DIR] [--portfolio]
- *                     [--portfolio-mode best|race]
- *                     [--static-prior on|off|strict]
- *                     [--certified-caps on|off]
- *                     [--ladder SPEC] [--refine on|off] [--verbose]
+ *   mixpbench-harness --config suite.yaml [options]
  *
  * Reads a Listing-4-style YAML configuration, runs every declared
  * analysis job, and prints a result table. The resilience flags
  * control the retry/deadline policy, deterministic fault injection,
  * and campaign checkpoint/resume (see README "Fault tolerance").
+ * `--help` lists every flag; any other flag is an error.
  */
 
 #include <algorithm>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <thread>
+#include <vector>
 
 #include "harness/harness.h"
 #include "support/cli.h"
 #include "support/logging.h"
 
+namespace {
+
+/** One harness flag and its --help line. */
+struct Flag {
+    const char* name;
+    const char* help;
+};
+
+/** Every flag the harness accepts: drives --help and the unknown-flag
+ *  check alike. */
+const Flag kFlags[] = {
+    {"config", "YAML configuration (Listing-4 schema)"},
+    {"jobs", "parallel analysis jobs (default 1)"},
+    {"search-jobs", "parallel in-search evaluations per job (default 1;"
+                    " 0 = auto-detect hardware concurrency, clamped"
+                    " against --jobs)"},
+    {"reps", "timing repetitions per evaluation (default 3)"},
+    {"budget", "max evaluated configurations per search"
+               " (default 2000)"},
+    {"seed", "campaign seed: GA, fault injection and retry jitter"
+             " (default 2020)"},
+    {"retries", "max attempts per evaluation (default 3)"},
+    {"deadline", "per-evaluation deadline in seconds"
+                 " (default 0 = none)"},
+    {"fault-rate", "injected transient-crash probability (default 0)"},
+    {"fault-hang-rate", "injected straggler probability (default 0)"},
+    {"fault-nan-rate", "injected NaN-output probability (default 0)"},
+    {"fault-raw-crash-rate", "child abort() probability"
+                             " (needs --isolation=pool)"},
+    {"fault-raw-hang-rate", "child spin-hang probability"
+                            " (needs --isolation=pool and --deadline)"},
+    {"fault-raw-segv-rate", "child SIGSEGV probability"
+                            " (needs --isolation=pool)"},
+    {"isolation", "evaluation sandbox: none or pool (persistent"
+                  " pre-forked workers) (default none)"},
+    {"isolation-max-crashes", "fail fast after this many crashed"
+                              " children (default 0 = unlimited)"},
+    {"pool-workers", "persistent sandbox workers under --isolation=pool"
+                     " (default 0 = --search-jobs)"},
+    {"checkpoint", "record completed jobs in F; evaluations go to the"
+                   " memo store F.memo/ (emptied first)"},
+    {"resume", "restore completed jobs from F, rerun the rest against"
+               " its memo store (as memo hits)"},
+    {"memo-cache", "persistent cross-run evaluation cache directory"
+                   " (used instead of F.memo/)"},
+    {"static-prior", "mixp-lint search prior: on or off (default off)"},
+    {"certified-caps", "fold certified absint level caps into the"
+                       " prior: on or off (default on; off recovers the"
+                       " heuristic-only prior)"},
+    {"ladder", "precision ladder, deepest last, e.g. double,float,half"
+               " or double,float,bf16 (default double,float)"},
+    {"refine", "iterative-refinement recovery for benchmarks with a"
+               " residual hook: on or off (default off)"},
+    {"json", "write a JSON report to this file"},
+    {"verbose", "log progress to stderr"},
+    {"help", "print this message"},
+};
+
+void
+printUsage(std::ostream& os)
+{
+    os << "usage: mixpbench-harness --config <file.yaml> [options]\n";
+    for (const Flag& flag : kFlags)
+        os << "  --" << std::left << std::setw(22) << flag.name << ' '
+           << flag.help << '\n';
+}
+
+} // namespace
+
 int
 main(int argc, char** argv)
 {
     using namespace hpcmixp;
-    support::CommandLine cl(argc, argv);
-
-    if (cl.has("help") || (!cl.has("config") && cl.positional().empty())) {
-        std::cout
-            << "usage: mixpbench-harness --config <file.yaml>"
-               " [options]\n"
-               "  --config      YAML configuration (Listing-4 schema)\n"
-               "  --jobs        parallel analysis jobs (default 1)\n"
-               "  --search-jobs parallel in-search evaluations per job"
-               " (default 1; 0 = auto-detect hardware concurrency,"
-               " clamped against --jobs)\n"
-               "  --reps        timing repetitions per evaluation"
-               " (default 3)\n"
-               "  --budget      max evaluated configurations per search"
-               " (default 2000)\n"
-               "  --seed        campaign seed: GA + fault injection"
-               " (default 2020)\n"
-               "  --retries     max attempts per evaluation"
-               " (default 3)\n"
-               "  --deadline    per-evaluation deadline in seconds"
-               " (default 0 = none)\n"
-               "  --fault-rate  injected transient-crash probability"
-               " (default 0)\n"
-               "  --fault-hang-rate  injected straggler probability"
-               " (default 0)\n"
-               "  --fault-nan-rate   injected NaN-output probability"
-               " (default 0)\n"
-               "  --fault-seed  fault decision seed (default --seed)\n"
-               "  --fault-raw-crash-rate  child abort() probability"
-               " (needs --isolation=pool)\n"
-               "  --fault-raw-hang-rate   child spin-hang probability"
-               " (needs --isolation=pool and --deadline)\n"
-               "  --fault-raw-segv-rate   child SIGSEGV probability"
-               " (needs --isolation=pool)\n"
-               "  --isolation   evaluation sandbox: none or pool"
-               " (persistent pre-forked workers) (default none)\n"
-               "  --isolation-max-crashes  fail fast after this many"
-               " crashed children (default 0 = unlimited)\n"
-               "  --pool-workers  persistent sandbox workers under"
-               " --isolation=pool (default 0 = --search-jobs)\n"
-               "  --checkpoint  record completed jobs in F; evaluations go"
-               " to the memo store F.memo/ (emptied first)\n"
-               "  --resume      restore completed jobs from F, rerun the"
-               " rest against its memo store (as memo hits)\n"
-               "  --memo-cache  persistent cross-run evaluation cache"
-               " directory (used instead of F.memo/)\n"
-               "  --portfolio   race all strategies per benchmark"
-               " instead of the configured analysis\n"
-               "  --portfolio-mode  best (run all to budget) or race"
-               " (first finisher cancels the rest)\n"
-               "  --static-prior  mixp-lint search prior: on, off or"
-               " strict (default off)\n"
-               "  --certified-caps  fold certified absint level caps"
-               " into the prior: on or off (default on; off recovers"
-               " the heuristic-only prior)\n"
-               "  --ladder      precision ladder, deepest last, e.g."
-               " double,float,half or double,float,bf16"
-               " (default double,float)\n"
-               "  --refine      iterative-refinement recovery for"
-               " benchmarks with a residual hook: on or off"
-               " (default off)\n"
-               "  --json        write a JSON report to this file\n";
-        return cl.has("help") ? 0 : 2;
-    }
-
-    if (cl.getBool("verbose", false))
-        support::setLogLevel(support::LogLevel::Inform);
-
-    std::string path = cl.getString(
-        "config",
-        cl.positional().empty() ? "" : cl.positional().front());
-
     try {
-        auto jobs = harness::parseConfigFile(path);
+        support::CommandLine cl(argc, argv);
+        std::vector<std::string> known;
+        for (const Flag& flag : kFlags)
+            known.push_back(flag.name);
+        cl.rejectUnknown(known);
+
+        if (cl.has("help") ||
+            (!cl.has("config") && cl.positional().empty())) {
+            printUsage(std::cout);
+            return cl.has("help") ? 0 : 2;
+        }
+
+        if (cl.getBool("verbose", false))
+            support::setLogLevel(support::LogLevel::Inform);
+
+        auto jobs = harness::parseConfigFile(cl.getString(
+            "config",
+            cl.positional().empty() ? "" : cl.positional().front()));
         harness::HarnessOptions options;
         options.jobs =
             static_cast<std::size_t>(cl.getLong("jobs", 1));
@@ -121,8 +127,10 @@ main(int argc, char** argv)
         options.tuner.budget.maxEvaluations =
             static_cast<std::size_t>(cl.getLong("budget", 2000));
 
-        long seed = cl.getLong("seed", 2020);
-        options.tuner.seed = static_cast<std::uint64_t>(seed);
+        // One campaign seed drives the GA, the fault draws and the
+        // retry jitter.
+        options.tuner.seed =
+            static_cast<std::uint64_t>(cl.getLong("seed", 2020));
         options.tuner.resilience.maxAttempts =
             static_cast<std::size_t>(cl.getLong("retries", 3));
         options.tuner.resilience.deadlineSeconds =
@@ -134,8 +142,7 @@ main(int argc, char** argv)
             cl.getDouble("fault-hang-rate", 0.0);
         options.tuner.faultPlan.nanRate =
             cl.getDouble("fault-nan-rate", 0.0);
-        options.tuner.faultPlan.seed =
-            static_cast<std::uint64_t>(cl.getLong("fault-seed", seed));
+        options.tuner.faultPlan.seed = options.tuner.seed;
         options.tuner.faultPlan.rawCrashRate =
             cl.getDouble("fault-raw-crash-rate", 0.0);
         options.tuner.faultPlan.rawHangRate =
@@ -169,9 +176,6 @@ main(int argc, char** argv)
         }
 
         options.memoCacheDir = cl.getString("memo-cache", "");
-        options.portfolio = cl.getBool("portfolio", false);
-        options.portfolioMode =
-            cl.getString("portfolio-mode", "best");
 
         options.checkpointPath = cl.getString("checkpoint", "");
         options.resumePath = cl.getString("resume", "");

@@ -118,13 +118,6 @@ SearchContext::evaluateResilient(const Config& config,
                                  const std::string& key,
                                  TaskCounters& counters)
 {
-    // Strict prior mode: a configuration that lowers a pinned site is
-    // rejected like an uncompilable one, without executing anything.
-    if (prior_.strict() && prior_.violates(config)) {
-        Evaluation rejected;
-        rejected.status = EvalStatus::CompileFail;
-        return rejected;
-    }
     std::size_t maxAttempts =
         resilience_.maxAttempts > 0 ? resilience_.maxAttempts : 1;
     // The backoff jitter stream is seeded from the config key, so
@@ -135,7 +128,7 @@ SearchContext::evaluateResilient(const Config& config,
     for (std::size_t attempt = 1;; ++attempt) {
         support::WallTimer attemptTimer;
         eval = problem_.evaluate(config);
-        // A sandboxed attempt reports its own kill-on-deadline; an
+        // A pooled attempt reports its own kill-on-deadline; an
         // in-process straggler is caught post-hoc by the attempt
         // timer. Both count as exactly one deadline miss and feed the
         // same retry/backoff path, so counters are identical between
@@ -164,9 +157,8 @@ SearchContext::evaluateResilient(const Config& config,
             attempt >= maxAttempts)
             break;
         ++counters.retries;
-        if (resilience_.sleepBetweenRetries)
-            support::sleepForSeconds(support::backoffDelaySeconds(
-                resilience_.backoff, attempt - 1, jitterRng));
+        support::sleepForSeconds(support::backoffDelaySeconds(
+            resilience_.backoff, attempt - 1, jitterRng));
     }
     // Retries exhausted: quarantine the configuration — it is cached
     // as failed and the search moves on rather than aborting.
@@ -256,19 +248,13 @@ SearchContext::evaluateBatch(std::span<const Config> configs)
                        "config size does not match problem site count");
         Slot& slot = plan[i];
         slot.key = config.toString();
-        // Strict prior mode rejects pinned configurations without
-        // executing (evaluateResilient); the rejection must also
-        // bypass the memo, whose entries may come from runs with a
-        // different prior mode.
-        bool strictReject = prior_.strict() && prior_.violates(config);
         if (cache_.count(slot.key) > 0 || claimed.count(slot.key) > 0) {
             slot.kind = Kind::Hit;
             return;
         }
         claimed.insert(slot.key);
         std::optional<Evaluation> memoHit;
-        if (memo_ && !strictReject &&
-            (memoHit = memo_->lookup(slot.key))) {
+        if (memo_ && (memoHit = memo_->lookup(slot.key))) {
             slot.kind = Kind::Memo;
             slot.memoEval = std::move(*memoHit);
         } else {

@@ -72,8 +72,8 @@ class BudgetExhausted : public std::runtime_error {
 struct ResiliencePolicy {
     std::size_t maxAttempts = 1;  ///< total attempts per configuration
     double deadlineSeconds = 0.0; ///< per-attempt deadline; 0 = none
-    support::BackoffPolicy backoff; ///< delay schedule between retries
-    bool sleepBetweenRetries = true; ///< disable to keep tests fast
+    /// Delay schedule between retries; maxSeconds = 0 retries at once.
+    support::BackoffPolicy backoff;
     std::uint64_t seed = 2020;    ///< backoff-jitter stream seed
 };
 
@@ -134,9 +134,8 @@ class SearchContext {
     /**
      * Install a static sensitivity prior (DESIGN.md Section 11).
      * Strategies consult prior() to prune, seed and order their
-     * candidate generation; in Strict mode the context additionally
-     * records any configuration violating a pin as a compile failure
-     * without executing it. Must be installed before the search runs.
+     * candidate generation; the context itself evaluates whatever it
+     * is given. Must be installed before the search runs.
      */
     void setPrior(StaticPrior prior);
 

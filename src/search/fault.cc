@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "support/logging.h"
 #include "support/memo_log.h"
 #include "support/retry.h"
 #include "support/rng.h"
@@ -12,8 +11,8 @@ namespace hpcmixp::search {
 
 namespace {
 
-/** Raw fault handed from FaultyProblem to the sandboxed executor on
- *  the same evaluation thread (see header). */
+/** Raw fault handed from FaultyProblem to the pool executor on the
+ *  same evaluation thread (see header). */
 thread_local RawFault tlsPendingRawFault = RawFault::None;
 
 } // namespace
@@ -97,15 +96,6 @@ executeRawFault(RawFault fault)
     }
 }
 
-FaultyProblem::FaultyProblem(SearchProblem& inner, FaultPlan plan)
-    : inner_(inner), injector_(plan)
-{
-    if (plan.rawEnabled() && !plan.sandboxed)
-        support::fatal(
-            "raw fault injection (--fault-raw-*) genuinely kills the "
-            "evaluating process; it requires --isolation=pool");
-}
-
 Evaluation
 FaultyProblem::evaluate(const Config& config)
 {
@@ -146,7 +136,7 @@ FaultyProblem::evaluate(const Config& config)
       case FaultKind::RawCrash:
       case FaultKind::RawHang:
       case FaultKind::RawSegv: {
-        // Post the fault for the sandboxed executor on this thread; it
+        // Post the fault for the pool executor on this thread; it
         // detonates inside the forked child. Clear any leftover after
         // the call — an inner path that never forked (e.g. a compile
         // failure short-circuit) must not hand the fault to the next

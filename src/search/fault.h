@@ -41,19 +41,13 @@ struct FaultPlan {
      * Raw (process-killing) fault rates. Unlike the simulated kinds
      * above, these make the evaluation attempt genuinely abort(),
      * spin forever, or write through a wild pointer — they are only
-     * legal when evaluations run in forked children (sandboxed below),
-     * where the parent contains and classifies the death.
+     * legal when evaluations run in forked pool workers, where the
+     * parent contains and classifies the death. The tuner rejects
+     * raw rates without --isolation=pool before any evaluation runs.
      */
     double rawCrashRate = 0.0; ///< child abort()
     double rawHangRate = 0.0;  ///< child spins until killed on deadline
     double rawSegvRate = 0.0;  ///< child SIGSEGV via wild store
-
-    /**
-     * Set by the tuner when evaluations execute under
-     * --isolation=pool. Constructing a FaultyProblem with raw rates
-     * but without this flag is a recoverable configuration error.
-     */
-    bool sandboxed = false;
 
     bool rawEnabled() const
     {
@@ -71,13 +65,13 @@ struct FaultPlan {
 /** The fault drawn for one evaluation attempt. */
 enum class FaultKind { None, Crash, Hang, Nan, RawCrash, RawHang, RawSegv };
 
-/** A raw fault pending execution inside a sandboxed child. */
+/** A raw fault pending execution inside a forked pool worker. */
 enum class RawFault { None, Crash, Hang, Segv };
 
 /**
  * Hand a drawn raw fault to the downstream sandbox executor. The
  * channel is thread-local: FaultyProblem sets it just before calling
- * the inner problem on the same thread, and the tuner's sandboxed
+ * the inner problem on the same thread, and the tuner's pooled
  * evaluation path takes it and executes it inside the forked child.
  */
 void setPendingRawFault(RawFault fault);
@@ -89,7 +83,7 @@ RawFault takePendingRawFault();
  * Execute @p fault: Crash abort()s, Hang spins forever (until the
  * parent's deadline SIGKILL), Segv stores through a wild pointer.
  * Returns only for RawFault::None. Must only ever run inside a
- * sandboxed child.
+ * forked pool worker.
  */
 void executeRawFault(RawFault fault);
 
@@ -137,15 +131,16 @@ class FaultInjector {
  * crash.
  *
  * Raw kinds (RawCrash/RawHang/RawSegv) are posted on the thread-local
- * pending channel for the sandboxed executor to detonate inside the
- * forked child; constructing a plan with raw rates outside a sandbox
- * throws FatalError (recoverable) instead of letting the process die.
+ * pending channel for the pool executor to detonate inside the forked
+ * worker; whoever wraps a problem with raw rates must make sure its
+ * evaluations run there (BenchmarkTuner checks --isolation=pool).
  */
 class FaultyProblem final : public SearchProblem {
   public:
-    /** Throws FatalError when @p plan has raw rates but is not
-     *  sandboxed. */
-    FaultyProblem(SearchProblem& inner, FaultPlan plan);
+    FaultyProblem(SearchProblem& inner, FaultPlan plan)
+        : inner_(inner), injector_(plan)
+    {
+    }
 
     std::size_t siteCount() const override { return inner_.siteCount(); }
 

@@ -28,8 +28,7 @@
  *
  * Only evaluations that actually *ran* (pass / quality_fail /
  * runtime_fail) are published: compile failures cost no execution to
- * re-derive and depend on prior mode, so memoizing them could poison
- * runs with different prior settings.
+ * re-derive.
  */
 
 #include <array>

@@ -13,7 +13,6 @@ priorModeName(PriorMode mode)
     switch (mode) {
     case PriorMode::Off: return "off";
     case PriorMode::On: return "on";
-    case PriorMode::Strict: return "strict";
     }
     return "off";
 }
@@ -25,24 +24,8 @@ parsePriorMode(const std::string& text)
         return PriorMode::Off;
     if (text == "on")
         return PriorMode::On;
-    if (text == "strict")
-        return PriorMode::Strict;
     fatal(strCat("unknown --static-prior mode '", text,
-                 "' (expected on, off, or strict)"));
-}
-
-StaticPrior::StaticPrior(PriorMode mode, std::vector<bool> pinned,
-                         std::vector<bool> narrow,
-                         std::vector<int> scores)
-    : mode_(mode), narrow_(std::move(narrow)),
-      scores_(std::move(scores))
-{
-    caps_.reserve(pinned.size());
-    for (bool p : pinned)
-        caps_.push_back(p ? 0 : kUnbounded);
-    HPCMIXP_ASSERT(caps_.size() == narrow_.size() &&
-                       caps_.size() == scores_.size(),
-                   "static prior vectors disagree on site count");
+                 "' (expected on or off)"));
 }
 
 StaticPrior
@@ -90,16 +73,6 @@ StaticPrior::seedConfig() const
         if (narrow_[i] && caps_[i] != 0)
             config.set(i);
     return config;
-}
-
-bool
-StaticPrior::violates(const Config& config) const
-{
-    for (std::size_t i = 0; i < caps_.size() && i < config.size();
-         ++i)
-        if (config.level(i) > caps_[i])
-            return true;
-    return false;
 }
 
 Config

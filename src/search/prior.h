@@ -22,16 +22,13 @@
  * per-site *level cap* — the deepest ladder level the site may take.
  * A pin is simply cap 0; an Unknown verdict caps at level 1 (float);
  * SafeToNarrow leaves the site unbounded. Strategies never propose a
- * level above a site's cap, and clamped()/violates() enforce caps on
- * configurations arriving from outside the strategies.
+ * level above a site's cap; clamped() maps an arbitrary configuration
+ * into the capped space.
  *
  * Modes (harness `--static-prior`):
- *  - Off:    no prior; trajectories are bit-identical to a build
- *            without this subsystem.
- *  - On:     prune + seed + order as above.
- *  - Strict: additionally treat any configuration violating a pin as
- *            a compile failure, whatever its origin (memo entries
- *            recorded without the prior included).
+ *  - Off: no prior; trajectories are bit-identical to a build without
+ *         this subsystem.
+ *  - On:  prune + seed + order as above.
  */
 
 #include <cstddef>
@@ -43,10 +40,10 @@
 
 namespace hpcmixp::search {
 
-/** Prior application mode (harness --static-prior=on|off|strict). */
-enum class PriorMode { Off, On, Strict };
+/** Prior application mode (harness --static-prior=on|off). */
+enum class PriorMode { Off, On };
 
-/** Stable lowercase name ("off", "on", "strict"). */
+/** Stable lowercase name ("off", "on"). */
 const char* priorModeName(PriorMode mode);
 
 /** Parse a --static-prior spelling; fatal()s on anything else. */
@@ -59,20 +56,11 @@ class StaticPrior {
     StaticPrior() = default;
 
     /**
-     * A binary-campaign prior. @p pinned marks KeepDouble sites
-     * (level cap 0), @p narrow marks SafeToNarrow sites, @p scores
-     * carries the per-site sensitivity scores (higher = more
-     * sensitive). All three vectors must agree on the site count.
-     * Non-pinned sites are unbounded (cap kUnbounded).
-     */
-    StaticPrior(PriorMode mode, std::vector<bool> pinned,
-                std::vector<bool> narrow, std::vector<int> scores);
-
-    /**
-     * A ladder-aware prior with an explicit per-site level cap
-     * (0 = pinned to double, kUnbounded = any rung). A named factory
-     * rather than an overloaded constructor: brace-initialized
-     * bool/uint8_t lists would be ambiguous between the two.
+     * A prior with an explicit per-site level cap (0 = pinned to
+     * double, kUnbounded = any rung). @p narrow marks SafeToNarrow
+     * sites, @p scores carries the per-site sensitivity scores
+     * (higher = more sensitive). All three vectors must agree on the
+     * site count.
      */
     static StaticPrior withCaps(PriorMode mode,
                                 std::vector<std::uint8_t> caps,
@@ -84,11 +72,6 @@ class StaticPrior {
 
     /** True when the prior participates in search (mode != Off). */
     bool enabled() const { return mode_ != PriorMode::Off; }
-
-    /** True in Strict mode only. */
-    bool strict() const { return mode_ == PriorMode::Strict; }
-
-    PriorMode mode() const { return mode_; }
 
     /** Number of sites this prior was built for. */
     std::size_t siteCount() const { return caps_.size(); }
@@ -110,9 +93,6 @@ class StaticPrior {
 
     /** GA seed: the SafeToNarrow mask (never includes pinned sites). */
     Config seedConfig() const;
-
-    /** True when any site of @p config exceeds its level cap. */
-    bool violates(const Config& config) const;
 
     /** @p config with every site clamped to its level cap. */
     Config clamped(Config config) const;

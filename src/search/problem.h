@@ -37,7 +37,7 @@ struct Evaluation {
 
     /**
      * Transient (never serialized): the attempt itself reports that it
-     * blew the deadline — a sandboxed child the parent SIGKILLed. The
+     * blew the deadline — a pool worker the parent SIGKILLed. The
      * resilience layer counts it exactly like a straggler it timed out
      * post-hoc, keeping counters identical across isolation modes.
      */

@@ -1,5 +1,7 @@
 #include "support/cli.h"
 
+#include <algorithm>
+
 #include "support/logging.h"
 #include "support/string_util.h"
 
@@ -27,6 +29,14 @@ CommandLine::CommandLine(int argc, const char* const* argv)
             flags_[body] = "";
         }
     }
+}
+
+void
+CommandLine::rejectUnknown(const std::vector<std::string>& known) const
+{
+    for (const auto& [name, value] : flags_)
+        if (std::find(known.begin(), known.end(), name) == known.end())
+            fatal(strCat("unknown flag '--", name, "'"));
 }
 
 bool

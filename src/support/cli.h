@@ -36,6 +36,11 @@ class CommandLine {
     /** Boolean flag: present without value, or value in {1,true,yes}. */
     bool getBool(const std::string& name, bool fallback) const;
 
+    /** fatal()s naming the first flag (in name order) that is not in
+     *  @p known, so a mistyped or retired flag stops the program
+     *  instead of being silently ignored. */
+    void rejectUnknown(const std::vector<std::string>& known) const;
+
     /** Positional (non-flag) arguments in order. */
     const std::vector<std::string>& positional() const { return positional_; }
 

@@ -3,13 +3,13 @@
 
 /**
  * @file
- * Shared-memory result arena for sandboxed evaluation (DESIGN.md §13).
+ * Shared-memory result arena for sandbox evaluation (DESIGN.md §13).
  *
  * A ShmArena is a fixed-size region of anonymous shared memory
  * (MAP_SHARED | MAP_ANONYMOUS) created by the parent *before* fork(),
  * so both sides address the same physical pages without any file
  * descriptor, name registration or unlink bookkeeping — there is
- * nothing to leak across hundreds of sandboxed evaluations.
+ * nothing to leak across hundreds of sandbox evaluations.
  *
  * The layout is a fixed header followed by an opaque payload,
  * checksummed like an AppendLog record:

@@ -4,7 +4,7 @@
 /**
  * @file
  * Sandbox vocabulary (DESIGN.md, Sections 13 and 15): the isolation
- * modes, the exit taxonomy a sandboxed child's fate is classified by,
+ * modes, the exit taxonomy a sandbox child's fate is classified by,
  * and the pidfd helper the worker pool waits on.
  *
  * Sandboxed children are forked without exec: they share the parent's
@@ -28,7 +28,7 @@ enum class IsolationMode {
 /** Parse "none" / "pool"; throws FatalError on anything else. */
 IsolationMode parseIsolationMode(const std::string& text);
 
-/** How a sandboxed child terminated. */
+/** How a sandbox child terminated. */
 enum class ChildExit {
     Clean,            ///< _exit(0)
     NonZeroExit,      ///< _exit(code != 0)
@@ -40,7 +40,7 @@ enum class ChildExit {
 /** Canonical name of a ChildExit ("clean", "nonzero_exit", ...). */
 const char* childExitName(ChildExit exit);
 
-/** Status a sandboxed child reports when its body throws. */
+/** Status a sandbox child reports when its body throws. */
 inline constexpr int kChildBodyThrew = 61;
 
 /**

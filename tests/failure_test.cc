@@ -283,7 +283,7 @@ TEST(Resilience, TransientCrashIsRetriedToSuccess)
 
     ResiliencePolicy policy;
     policy.maxAttempts = 20;
-    policy.sleepBetweenRetries = false;
+    policy.backoff.maxSeconds = 0.0; // retry without sleeping
     SearchContext ctx(faulty, {100, 0.0}, policy);
 
     // Every configuration eventually evaluates to its true result.
@@ -311,7 +311,7 @@ TEST(Resilience, RetryExhaustionQuarantinesTheConfig)
 
     ResiliencePolicy policy;
     policy.maxAttempts = 3;
-    policy.sleepBetweenRetries = false;
+    policy.backoff.maxSeconds = 0.0; // retry without sleeping
     SearchContext ctx(faulty, {100, 0.0}, policy);
 
     const auto& eval = ctx.evaluate(Config::withLowered(4, {0}));
@@ -353,7 +353,7 @@ TEST(Resilience, InjectedCrashLeavesCompileFailuresUntouched)
 
     ResiliencePolicy policy;
     policy.maxAttempts = 3;
-    policy.sleepBetweenRetries = false;
+    policy.backoff.maxSeconds = 0.0; // retry without sleeping
     SearchContext ctx(faulty, {100, 0.0}, policy);
 
     // A configuration that never compiles cannot crash: no EV, no
@@ -385,7 +385,7 @@ TEST(Resilience, DeadlineConvertsStragglersIntoRuntimeFails)
     ResiliencePolicy policy;
     policy.maxAttempts = 2;
     policy.deadlineSeconds = 0.005;
-    policy.sleepBetweenRetries = false;
+    policy.backoff.maxSeconds = 0.0; // retry without sleeping
     SearchContext ctx(faulty, {100, 0.0}, policy);
 
     const auto& eval = ctx.evaluate(Config::withLowered(4, {0}));
@@ -429,7 +429,7 @@ TEST(Resilience, AllStrategiesMatchCleanRunUnderInjection)
         FaultyProblem faulty(inner, plan);
         search::SearchRunOptions run;
         run.resilience.maxAttempts = 12;
-        run.resilience.sleepBetweenRetries = false;
+        run.resilience.backoff.maxSeconds = 0.0; // retry without sleeping
         auto injected = search::runSearch(faulty, code, budget, run);
 
         EXPECT_EQ(injected.foundImprovement, expected.foundImprovement)
@@ -469,7 +469,7 @@ TEST(Resilience, BatchParallelMatchesSerialUnderInjection)
             FaultyProblem faulty(inner, plan);
             search::SearchRunOptions run;
             run.resilience.maxAttempts = 12;
-            run.resilience.sleepBetweenRetries = false;
+            run.resilience.backoff.maxSeconds = 0.0; // retry without sleeping
             run.searchJobs = jobs;
             return search::runSearch(faulty, code, budget, run);
         };
@@ -507,7 +507,7 @@ TEST(Resilience, ParallelQuarantineSetMatchesSerial)
         FaultyProblem faulty(inner, plan);
         search::SearchRunOptions run;
         run.resilience.maxAttempts = 2;
-        run.resilience.sleepBetweenRetries = false;
+        run.resilience.backoff.maxSeconds = 0.0; // retry without sleeping
         run.searchJobs = jobs;
         auto result =
             search::runSearch(faulty, "CB", {100000, 0.0}, run);

@@ -163,6 +163,17 @@ TEST(HarnessRun, ExecutesJobsAndPrintsResults)
     EXPECT_NE(os.str().find("singleprecision"), std::string::npos);
 }
 
+/** One floatsmith search job on @p benchmark at threshold 1e-3. */
+JobSpec
+floatsmithJob(const std::string& benchmark, const std::string& algorithm)
+{
+    return parseConfig(support::yaml::parse(
+        benchmark + ":\n  threshold: 1e-3\n  analysis:\n    fs:\n"
+                    "      name: 'floatsmith'\n      extra_args:\n"
+                    "        algorithm: '" +
+        algorithm + "'\n"))[0];
+}
+
 TEST(HarnessRun, ParallelJobsProduceSameStructure)
 {
     auto jobs = parseConfig(support::yaml::parse(
@@ -170,18 +181,41 @@ TEST(HarnessRun, ParallelJobsProduceSameStructure)
         "      name: 'singleprecision'\n"
         "iccg:\n  threshold: 1e-3\n  analysis:\n    b:\n"
         "      name: 'singleprecision'\n"));
+    jobs.push_back(floatsmithJob("tridiag", "ddebug"));
+    jobs.push_back(floatsmithJob("tridiag", "genetic"));
+    jobs.push_back(floatsmithJob("iccg", "combinational"));
     HarnessOptions options;
     options.tuner.searchReps = 1;
     options.tuner.finalReps = 3;
+    options.tuner.budget = {150, 0.0};
+    auto serial = runJobs(jobs, options);
     options.jobs = 2;
     auto results = runJobs(jobs, options);
-    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(results.size(), jobs.size());
+    ASSERT_EQ(serial.size(), jobs.size());
     EXPECT_EQ(results[0].spec.benchmark, "tridiag");
     EXPECT_EQ(results[1].spec.benchmark, "iccg");
-    for (const auto& r : results)
-        EXPECT_TRUE(r.error.empty()) << r.error;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        for (const auto* r : {&serial[i], &results[i]}) {
+            ASSERT_TRUE(r->error.empty()) << r->error;
+            EXPECT_EQ(r->spec.benchmark, jobs[i].benchmark);
+        }
+        // Timing differs under contention, but both schedules run
+        // the same strategy over the same cluster space, and every
+        // search winner stays within its threshold.
+        EXPECT_EQ(results[i].result.detail, serial[i].result.detail);
+        EXPECT_FALSE(results[i].result.configuration.empty()) << i;
+        EXPECT_EQ(results[i].result.configuration.size(),
+                  serial[i].result.configuration.size());
+        if (jobs[i].analysis == "floatsmith") {
+            EXPECT_LE(serial[i].result.qualityLoss, 1e-3) << i;
+            EXPECT_LE(results[i].result.qualityLoss, 1e-3) << i;
+        }
+    }
+    EXPECT_EQ(results[2].result.detail, "DD");
+    EXPECT_EQ(results[3].result.detail, "GA");
+    EXPECT_EQ(results[4].result.detail, "CB");
 }
-
 
 TEST(HarnessRun, GaParametersFlowFromExtraArgs)
 {
@@ -198,6 +232,30 @@ TEST(HarnessRun, GaParametersFlowFromExtraArgs)
     EXPECT_TRUE(results[0].error.empty()) << results[0].error;
     // population 4 x generations 2 caps the evaluations.
     EXPECT_LE(results[0].result.evaluated, 8u);
+}
+
+TEST(HarnessRun, GaSeedZeroIsAValidSeed)
+{
+    auto gaJob = [](const std::string& seed) {
+        return parseConfig(support::yaml::parse(
+            "tridiag:\n  threshold: 1e-3\n  analysis:\n    ga:\n"
+            "      name: 'floatsmith'\n      extra_args:\n"
+            "        algorithm: 'genetic'\n        population: '4'\n"
+            "        generations: '2'\n        seed: '" +
+            seed + "'\n"));
+    };
+    HarnessOptions options;
+    options.tuner.searchReps = 1;
+    options.tuner.finalReps = 3;
+    auto results = runJobs(gaJob("0"), options);
+    ASSERT_EQ(results.size(), 1u);
+    EXPECT_TRUE(results[0].error.empty()) << results[0].error;
+    EXPECT_LE(results[0].result.evaluated, 8u);
+
+    auto negative = runJobs(gaJob("-1"), options);
+    ASSERT_EQ(negative.size(), 1u);
+    EXPECT_NE(negative[0].error.find("non-negative"), std::string::npos)
+        << negative[0].error;
 }
 
 TEST(HarnessRun, BadGaParameterIsReportedAsJobError)
@@ -681,18 +739,17 @@ TEST(HarnessPortfolio, OverrideRacesStrategiesPerBenchmark)
     std::string dir = ::testing::TempDir() + "harness_portfolio_store";
     std::filesystem::remove_all(dir);
 
-    // The configured analysis is ignored under --portfolio; the memo
-    // store dedups the entrants against each other.
+    // A benchmark's analysis clause selects the racing portfolio of
+    // every strategy; the memo store dedups the entrants against each
+    // other and keeps what they ran.
     auto jobs = parseConfig(support::yaml::parse(
-        "tridiag:\n  threshold: 1e-3\n  analysis:\n    fs:\n"
-        "      name: 'floatsmith'\n      extra_args:\n"
-        "        algorithm: 'ddebug'\n"));
+        "tridiag:\n  threshold: 1e-3\n  analysis:\n    pf:\n"
+        "      name: 'portfolio'\n"));
     HarnessOptions options;
     options.tuner.searchReps = 1;
     options.tuner.finalReps = 3;
     options.tuner.budget = {100, 0.0};
     options.memoCacheDir = dir;
-    options.portfolio = true;
     auto results = runJobs(jobs, options);
     ASSERT_EQ(results.size(), 1u);
     ASSERT_TRUE(results[0].error.empty()) << results[0].error;
@@ -700,6 +757,10 @@ TEST(HarnessPortfolio, OverrideRacesStrategiesPerBenchmark)
     EXPECT_NE(results[0].result.detail.find("winner:"),
               std::string::npos);
     EXPECT_GT(results[0].result.evaluated, 0u);
+    std::size_t logs = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+        logs += entry.path().filename().string().rfind("memo-", 0) == 0;
+    EXPECT_GT(logs, 0u) << "the entrants published nothing to the store";
     std::filesystem::remove_all(dir);
 }
 

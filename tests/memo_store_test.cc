@@ -684,7 +684,7 @@ TEST(Checkpoint, FaultyParallelCheckpointRoundTripsIdentically)
         FaultyProblem faulty(inner, plan);
         SearchRunOptions run;
         run.resilience.maxAttempts = 2;
-        run.resilience.sleepBetweenRetries = false;
+        run.resilience.backoff.maxSeconds = 0.0; // retry without sleeping
         run.searchJobs = jobs;
         run.memo = std::make_shared<MemoTable>(path, fp);
         return runSearch(faulty, cb, {1000, 0.0}, run);

@@ -798,7 +798,7 @@ TEST_P(SearchProperty, ThreeRungPriorCapsAreNeverExceeded)
         PriorMode::On, caps, std::vector<bool>(sites, false),
         std::vector<int>(sites, 0));
 
-    for (const char* code : {"CB", "CM", "DD", "HR", "HC"}) {
+    for (const char* code : {"CB", "CM", "DD", "HR", "HC", "GA"}) {
         StructuredLadderProblem problem(sites, 2, GetParam());
         SearchRunOptions run;
         run.prior = prior;
@@ -807,7 +807,8 @@ TEST_P(SearchProperty, ThreeRungPriorCapsAreNeverExceeded)
             EXPECT_LE(result.best.level(i), caps[i])
                 << code << " site " << i;
         for (const auto& [key, eval] : result.cache) {
-            EXPECT_FALSE(prior.violates(Config::fromString(key)))
+            Config cached = Config::fromString(key);
+            EXPECT_EQ(prior.clamped(cached), cached)
                 << code << " cached " << key;
         }
     }

@@ -221,7 +221,7 @@ TEST(Refine, TwoTierCheckpointIsRecoverablyRejectedByThreeRung)
     Config lowered = Config::withLowered(source.clusterCount(), {0});
     {
         search::MemoStore store(dir);
-        search::SearchContext ctx(source.searchClusterProblem(),
+        search::SearchContext ctx(source.clusterProblem(),
                                   {100, 0.0});
         ctx.setMemo(store.table(source.fingerprint(cluster)));
         ctx.evaluate(lowered);
@@ -235,7 +235,7 @@ TEST(Refine, TwoTierCheckpointIsRecoverablyRejectedByThreeRung)
     search::MemoStore store(dir);
     auto targetTable = store.table(target.fingerprint(cluster));
     EXPECT_FALSE(targetTable->lookup(lowered.toString()).has_value());
-    search::SearchContext targetCtx(target.searchClusterProblem(),
+    search::SearchContext targetCtx(target.clusterProblem(),
                                     {100, 0.0});
     targetCtx.setMemo(targetTable);
     targetCtx.evaluate(lowered);
@@ -244,7 +244,7 @@ TEST(Refine, TwoTierCheckpointIsRecoverablyRejectedByThreeRung)
 
     // The two-tier segment survived the three-rung run and still
     // resumes a two-tier context.
-    search::SearchContext backCtx(source.searchClusterProblem(),
+    search::SearchContext backCtx(source.clusterProblem(),
                                   {100, 0.0});
     backCtx.setMemo(store.table(source.fingerprint(cluster)));
     backCtx.evaluate(lowered);

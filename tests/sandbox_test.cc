@@ -245,7 +245,7 @@ sandboxOptions()
     opt.budget = {200, 0.0};
     opt.isolation = IsolationMode::Pool;
     opt.resilience.maxAttempts = 2;
-    opt.resilience.sleepBetweenRetries = false;
+    opt.resilience.backoff.maxSeconds = 0.0; // retry without sleeping
     return opt;
 }
 
@@ -420,7 +420,7 @@ TEST(SandboxTuner, CrashLoopCutoffStopsForking)
         auto eval = tuner.evaluateClusterConfig(toxic, 1);
         EXPECT_EQ(eval.status, EvalStatus::RuntimeFail);
     }
-    // Once tripped, the cutoff fails every sandboxed attempt, a clean
+    // Once tripped, the cutoff fails every pooled attempt, a clean
     // configuration included, without dispatching or re-forking.
     auto clean = tuner.evaluateClusterConfig(Config(tuner.clusterCount()), 1);
     EXPECT_EQ(clean.status, EvalStatus::RuntimeFail);
@@ -964,7 +964,6 @@ TEST(RawFaults, RejectedWithoutSandboxAsRecoverableError)
 {
     search::FaultPlan plan;
     plan.rawCrashRate = 0.5;
-    ASSERT_FALSE(plan.sandboxed);
     RawHostileBenchmark bench(RawHostileBenchmark::Mode::Clean);
     core::TunerOptions opt = sandboxOptions();
     opt.isolation = IsolationMode::None;

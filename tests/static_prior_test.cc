@@ -2,11 +2,11 @@
  * @file
  * StaticPrior semantics and its effect on every search strategy:
  * Off is trajectory-identical to a plain search, On never evaluates a
- * pinned site and seeds the GA, Strict rejects violating configs
- * without executing them, and the hierarchical traversal visits
+ * pinned site and seeds the GA, and the hierarchical traversal visits
  * high-score groups first.
  */
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -101,12 +101,15 @@ fourSiteProblem()
     return problem;
 }
 
+constexpr std::uint8_t kFree = StaticPrior::kUnbounded;
+
 /** The prior mixp-lint would derive: site 2 KeepDouble, 0/1 safe. */
 StaticPrior
 fourSitePrior(PriorMode mode)
 {
-    return StaticPrior(mode, {false, false, true, false},
-                       {true, true, false, false}, {0, 0, 5, 2});
+    return StaticPrior::withCaps(mode, {kFree, kFree, 0, kFree},
+                                 {true, true, false, false},
+                                 {0, 0, 5, 2});
 }
 
 std::vector<std::string>
@@ -121,23 +124,22 @@ TEST(StaticPrior, DefaultIsAbsent)
 {
     StaticPrior prior;
     EXPECT_FALSE(prior.enabled());
-    EXPECT_FALSE(prior.strict());
     EXPECT_EQ(prior.siteCount(), 0u);
 }
 
 TEST(StaticPrior, AccessorsReflectTheVerdicts)
 {
-    StaticPrior prior(PriorMode::On, {false, true, false, false},
-                      {true, false, false, false}, {1, 5, 0, 2});
+    StaticPrior prior = StaticPrior::withCaps(
+        PriorMode::On, {kFree, 0, kFree, kFree},
+        {true, false, false, false}, {1, 5, 0, 2});
     EXPECT_TRUE(prior.enabled());
-    EXPECT_FALSE(prior.strict());
     EXPECT_EQ(prior.pinnedCount(), 1u);
     EXPECT_TRUE(prior.pinned(1));
     EXPECT_EQ(prior.freeSites(),
               (std::vector<std::size_t>{0, 2, 3}));
     EXPECT_EQ(prior.seedConfig(), Config::withLowered(4, {0}));
-    EXPECT_TRUE(prior.violates(Config::withLowered(4, {1})));
-    EXPECT_FALSE(prior.violates(Config::withLowered(4, {0, 2})));
+    EXPECT_EQ(prior.clamped(Config::withLowered(4, {0, 2})),
+              Config::withLowered(4, {0, 2}));
     EXPECT_EQ(prior.clamped(Config::withLowered(4, {0, 1, 3})),
               Config::withLowered(4, {0, 3}));
     EXPECT_EQ(prior.groupScore({0, 3}), 3);
@@ -148,22 +150,23 @@ TEST(StaticPrior, SeedNeverLowersAPinnedSite)
 {
     // A contradictory verdict pair (pinned *and* narrow) resolves in
     // favour of the pin.
-    StaticPrior prior(PriorMode::On, {true, false}, {true, true},
-                      {5, 0});
+    StaticPrior prior = StaticPrior::withCaps(
+        PriorMode::On, {0, kFree}, {true, true}, {5, 0});
     EXPECT_EQ(prior.seedConfig(), Config::withLowered(2, {1}));
 }
 
 TEST(StaticPrior, ModeNamesRoundTrip)
 {
-    for (PriorMode mode :
-         {PriorMode::Off, PriorMode::On, PriorMode::Strict})
+    for (PriorMode mode : {PriorMode::Off, PriorMode::On})
         EXPECT_EQ(parsePriorMode(priorModeName(mode)), mode);
 }
 
 TEST(StaticPrior, UnknownModeSpellingIsAUserError)
 {
-    EXPECT_THROW((void)parsePriorMode("auto"),
-                 hpcmixp::support::FatalError);
+    for (const char* spelling : {"auto", "strict"})
+        EXPECT_THROW((void)parsePriorMode(spelling),
+                     hpcmixp::support::FatalError)
+            << spelling;
 }
 
 // ---- Off mode: bit-identical trajectories ------------------------------
@@ -227,8 +230,9 @@ TEST(StaticPrior, HierarchicalVisitsHighScoreGroupsFirst)
     // prior's scores put fb {2,3} (score 7) ahead of fa {0,1}.
     RecordingProblem problem = fourSiteProblem();
     SearchRunOptions run;
-    run.prior = StaticPrior(PriorMode::On, {false, false, false, false},
-                            {false, false, false, false}, {0, 0, 5, 2});
+    run.prior = StaticPrior::withCaps(
+        PriorMode::On, {kFree, kFree, kFree, kFree},
+        {false, false, false, false}, {0, 0, 5, 2});
     runSearch(problem, "HR", SearchBudget{10000, 0.0}, run);
 
     const auto& seq = problem.evaluated();
@@ -238,34 +242,12 @@ TEST(StaticPrior, HierarchicalVisitsHighScoreGroupsFirst)
     EXPECT_EQ(seq[2], Config::withLowered(4, {0, 1}));
 }
 
-// ---- Strict mode -------------------------------------------------------
-
-TEST(StaticPrior, StrictRejectsViolationsWithoutExecuting)
-{
-    RecordingProblem problem = fourSiteProblem();
-    SearchContext ctx(problem, SearchBudget{10000, 0.0});
-    ctx.setPrior(fourSitePrior(PriorMode::Strict));
-
-    const Evaluation& eval =
-        ctx.evaluate(Config::withLowered(4, {0, 2}));
-    EXPECT_EQ(eval.status, EvalStatus::CompileFail);
-    EXPECT_TRUE(problem.evaluated().empty())
-        << "violating config must not reach the problem";
-    EXPECT_EQ(ctx.evaluatedCount(), 0u);
-    EXPECT_EQ(ctx.compileFailCount(), 1u);
-
-    // Conforming configurations still execute normally.
-    const Evaluation& ok = ctx.evaluate(Config::withLowered(4, {0}));
-    EXPECT_TRUE(ok.passed());
-    EXPECT_EQ(ctx.evaluatedCount(), 1u);
-}
-
 TEST(StaticPriorDeathTest, SiteCountMismatchPanics)
 {
     RecordingProblem problem = fourSiteProblem();
     SearchContext ctx(problem, SearchBudget{10000, 0.0});
-    EXPECT_DEATH(ctx.setPrior(StaticPrior(PriorMode::On, {false},
-                                          {false}, {0})),
+    EXPECT_DEATH(ctx.setPrior(StaticPrior::withCaps(
+                     PriorMode::On, {kFree}, {false}, {0})),
                  "site count");
 }
 

@@ -223,6 +223,24 @@ TEST(Cli, BoolValueSpellings)
     EXPECT_TRUE(cl.getBool("z", false));
 }
 
+TEST(Cli, RejectUnknownNamesTheFirstUnlistedFlag)
+{
+    const char* argv[] = {"p", "--jobs", "2", "--verbose", "pos"};
+    CommandLine cl(5, argv);
+    EXPECT_NO_THROW(cl.rejectUnknown({"jobs", "verbose", "help"}));
+    try {
+        cl.rejectUnknown({"jobs"});
+        FAIL() << "--verbose is not in the list";
+    } catch (const FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("unknown flag '--verbose'"),
+                  std::string::npos)
+            << e.what();
+    }
+    // A flag given with `=` is checked by its name alone.
+    const char* eq[] = {"p", "--retired=1"};
+    EXPECT_THROW(CommandLine(2, eq).rejectUnknown({"jobs"}), FatalError);
+}
+
 // ---- table ------------------------------------------------------------
 
 TEST(Table, AlignsColumnsAndCountsRows)
