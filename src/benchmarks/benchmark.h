@@ -155,8 +155,9 @@ struct PrepareOptions {
      * Bind inputs from the benchmark's input cache (the default,
      * convert-once-per-process). When false every input is freshly
      * converted into plan-owned storage — the per-run conversion cost
-     * of the pre-split pipeline, kept so bench_eval_pipeline can A/B
-     * the two honestly and tests can prove them bit-identical.
+     * of the pre-split pipeline, kept so campaign_bench can time the
+     * conversion (runtime.convert_s) and tests can prove the two
+     * bit-identical.
      */
     bool reuseInputCache = true;
 };

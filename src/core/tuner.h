@@ -322,18 +322,6 @@ class BenchmarkTuner {
     search::StaticPrior
     staticPrior(search::Granularity granularity) const;
 
-    /** Switch the static-prior mode between tune() calls, so one
-     *  tuner (one baseline) can A/B a strategy with and without the
-     *  prior. */
-    void setStaticPriorMode(search::PriorMode mode)
-    {
-        options_.staticPrior = mode;
-    }
-
-    /** Toggle certified absint caps between tune() calls, so one
-     *  tuner can A/B the certified prior against the heuristic one. */
-    void setCertifiedCaps(bool on) { options_.certifiedCaps = on; }
-
     /** Swap the memo store between tune() calls, so one tuner (one
      *  baseline) can A/B cold and warm campaigns. Null detaches. */
     void setMemoStore(std::shared_ptr<search::MemoStore> store)

@@ -45,8 +45,6 @@ debug(const std::string& msg)
 void
 fatal(const std::string& msg)
 {
-    if (g_level >= LogLevel::Warn)
-        std::fprintf(stderr, "fatal: %s\n", msg.c_str());
     throw FatalError(msg);
 }
 

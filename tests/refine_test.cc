@@ -253,4 +253,39 @@ TEST(Refine, TwoTierCheckpointIsRecoverablyRejectedByThreeRung)
     std::filesystem::remove_all(dir);
 }
 
+// ---- EV pins on tridiag's ladders ------------------------------------
+//
+// CB and DD walk paths that depend only on pass/fail verdicts, so their
+// EV is an exact count, the same at HPCMIXP_QUICK and at full sizes.
+
+/** EV of one @p code search on tridiag at threshold 1e-6. */
+std::size_t
+tridiagEv(const std::string& spec, bool refine, const std::string& code)
+{
+    auto bench = make("tridiag");
+    BenchmarkTuner tuner(*bench, ladderOptions(spec, refine, 1e-6));
+    return tuner.tune(code).search.evaluated;
+}
+
+/** CB enumerates every non-baseline configuration of tridiag's three
+ *  clusters: 2^3 - 1 on two rungs, 3^3 - 1 on three. */
+TEST(Refine, ThirdRungMakesExhaustiveCbEvGrowFrom7To26)
+{
+    EXPECT_EQ(tridiagEv("double,float", false, "CB"), 7u);
+    EXPECT_EQ(tridiagEv("double,float,half", false, "CB"), 26u);
+    EXPECT_EQ(tridiagEv("double,float,bf16", false, "CB"), 26u);
+}
+
+/** DD accepts all-float at once on two rungs and tries the 16-bit
+ *  rung on three. Refinement changes which bfloat16 candidates pass,
+ *  and with them DD's walk. */
+TEST(Refine, DeltaDebuggingEvWithRefinementOffAndOn)
+{
+    EXPECT_EQ(tridiagEv("double,float", false, "DD"), 1u);
+    EXPECT_EQ(tridiagEv("double,float,half", false, "DD"), 7u);
+    EXPECT_EQ(tridiagEv("double,float,half", true, "DD"), 7u);
+    EXPECT_EQ(tridiagEv("double,float,bf16", false, "DD"), 6u);
+    EXPECT_EQ(tridiagEv("double,float,bf16", true, "DD"), 7u);
+}
+
 } // namespace

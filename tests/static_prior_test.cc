@@ -3,15 +3,21 @@
  * StaticPrior semantics and its effect on every search strategy:
  * Off is trajectory-identical to a plain search, On never evaluates a
  * pinned site and seeds the GA, and the hierarchical traversal visits
- * high-score groups first.
+ * high-score groups first. On the annotated benchmarks, the EV the
+ * prior and its certified caps save is pinned exactly.
  */
 
 #include <cstdint>
 #include <functional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "benchmarks/registry.h"
+#include "core/tuner.h"
+#include "runtime/ladder.h"
 #include "search/driver.h"
 #include "search/prior.h"
 #include "search/strategy.h"
@@ -240,6 +246,157 @@ TEST(StaticPrior, HierarchicalVisitsHighScoreGroupsFirst)
     EXPECT_EQ(seq[0], Config::withLowered(4, {0, 1, 2, 3}));
     EXPECT_EQ(seq[1], Config::withLowered(4, {2, 3}));
     EXPECT_EQ(seq[2], Config::withLowered(4, {0, 1}));
+}
+
+// ---- EV pins on the annotated benchmarks ------------------------------
+//
+// CB, CM and DD walk paths that depend only on pass/fail verdicts, so
+// the number of configurations they execute (EV) is an exact count,
+// the same at HPCMIXP_QUICK sizes and at full sizes. GA follows
+// measured speedups, so its EV is not a fixed count and is not pinned.
+// Each A/B tunes two tuners whose options differ in one field.
+
+namespace core = hpcmixp::core;
+
+/** Options for an EV A/B: threshold 1e-6, one timing rep, no cap
+ *  the searches could reach. */
+core::TunerOptions
+evOptions()
+{
+    core::TunerOptions options;
+    options.threshold = 1e-6;
+    options.searchReps = 1;
+    options.finalReps = 3;
+    options.budget = {500, 0.0};
+    options.staticPrior = PriorMode::On;
+    return options;
+}
+
+/** EV of one CB/CM/DD search, and whether its winner passes. */
+struct EvRun {
+    std::size_t ev = 0;
+    bool winnerPasses = false;
+};
+
+/** Tune @p name with each of @p codes under @p options. */
+std::vector<EvRun>
+tuneEach(const std::string& name, const core::TunerOptions& options,
+         const std::vector<std::string>& codes)
+{
+    auto benchmark =
+        hpcmixp::benchmarks::BenchmarkRegistry::instance().create(name);
+    core::BenchmarkTuner tuner(*benchmark, options);
+    std::vector<EvRun> runs;
+    for (const std::string& code : codes) {
+        core::TuneOutcome outcome = tuner.tune(code);
+        runs.push_back({outcome.search.evaluated,
+                        outcome.finalQualityLoss <= options.threshold});
+    }
+    return runs;
+}
+
+std::string
+paramName(const std::string& benchmark)
+{
+    std::string name = benchmark;
+    for (char& c : name)
+        if (c == '-')
+            c = '_';
+    return name;
+}
+
+/** Prior off -> on EV of CB and CM (equal on these benchmarks). */
+struct PriorEvCase {
+    std::string benchmark;
+    std::size_t evOff;
+    std::size_t evOn;
+};
+
+/** Names the case in test listings (the default prints raw bytes). */
+void
+PrintTo(const PriorEvCase& pin, std::ostream* os)
+{
+    *os << pin.benchmark << " " << pin.evOff << "->" << pin.evOn;
+}
+
+class StaticPriorEv : public ::testing::TestWithParam<PriorEvCase> {};
+
+TEST_P(StaticPriorEv, PriorCutsCbAndCmEvAndLeavesDdAtOne)
+{
+    const PriorEvCase& pin = GetParam();
+    const std::vector<std::string> codes{"CB", "CM", "DD"};
+    core::TunerOptions offOptions = evOptions();
+    offOptions.staticPrior = PriorMode::Off;
+    std::vector<EvRun> off = tuneEach(pin.benchmark, offOptions, codes);
+    std::vector<EvRun> on = tuneEach(pin.benchmark, evOptions(), codes);
+
+    const std::vector<std::size_t> evOff{pin.evOff, pin.evOff, 1};
+    const std::vector<std::size_t> evOn{pin.evOn, pin.evOn, 1};
+    for (std::size_t i = 0; i < codes.size(); ++i) {
+        SCOPED_TRACE(codes[i]);
+        EXPECT_EQ(off[i].ev, evOff[i]);
+        EXPECT_EQ(on[i].ev, evOn[i]);
+        EXPECT_TRUE(off[i].winnerPasses);
+        EXPECT_TRUE(on[i].winnerPasses);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AnnotatedBenchmarks, StaticPriorEv,
+    ::testing::Values(PriorEvCase{"innerprod", 7, 3},
+                      PriorEvCase{"hpccg", 127, 63},
+                      PriorEvCase{"banded-lin-eq", 3, 1},
+                      PriorEvCase{"gen-lin-recur", 3, 1},
+                      PriorEvCase{"iccg", 3, 1},
+                      PriorEvCase{"tridiag", 7, 3}),
+    [](const ::testing::TestParamInfo<PriorEvCase>& info) {
+        return paramName(info.param.benchmark);
+    });
+
+/** Heuristic -> certified EV of CB, CM and DD on one benchmark. */
+struct CertifiedEvRow {
+    std::string benchmark;
+    std::vector<std::size_t> evHeuristic;
+    std::vector<std::size_t> evCertified;
+};
+
+TEST(CertifiedCaps, FourRungEvFallsAtUnchangedAccuracy)
+{
+    // On the four-rung ladder the heuristic caps still admit the
+    // 16-bit rungs, so the range-annotated benchmarks are where the
+    // certificates have something to tighten.
+    const std::vector<std::string> codes{"CB", "CM", "DD"};
+    const std::vector<CertifiedEvRow> rows{
+        {"innerprod", {15, 15, 7}, {3, 3, 1}},
+        {"diff-predictor", {3, 3, 2}, {1, 1, 1}},
+        {"eos", {15, 15, 1}, {15, 15, 1}},
+        {"planckian", {3, 3, 1}, {3, 3, 1}},
+        {"int-predict", {3, 3, 1}, {3, 3, 1}},
+    };
+    core::TunerOptions certified = evOptions();
+    certified.ladder = hpcmixp::runtime::PrecisionLadder::parse(
+        "double,float,half,bfloat16");
+    core::TunerOptions heuristic = certified;
+    heuristic.certifiedCaps = false;
+
+    std::size_t totalHeuristic = 0;
+    std::size_t totalCertified = 0;
+    for (const CertifiedEvRow& row : rows) {
+        std::vector<EvRun> heur = tuneEach(row.benchmark, heuristic, codes);
+        std::vector<EvRun> cert = tuneEach(row.benchmark, certified, codes);
+        for (std::size_t i = 0; i < codes.size(); ++i) {
+            SCOPED_TRACE(row.benchmark + " " + codes[i]);
+            EXPECT_EQ(heur[i].ev, row.evHeuristic[i]);
+            EXPECT_EQ(cert[i].ev, row.evCertified[i]);
+            EXPECT_LE(cert[i].ev, heur[i].ev);
+            EXPECT_TRUE(heur[i].winnerPasses);
+            EXPECT_TRUE(cert[i].winnerPasses);
+            totalHeuristic += heur[i].ev;
+            totalCertified += cert[i].ev;
+        }
+    }
+    EXPECT_EQ(totalHeuristic, 90u);
+    EXPECT_EQ(totalCertified, 55u);
 }
 
 TEST(StaticPriorDeathTest, SiteCountMismatchPanics)
